@@ -14,6 +14,7 @@ package aida
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -123,8 +124,24 @@ const (
 	Overflow  = -2
 )
 
+// MaxBins bounds the in-range bins of an object booked through a Tree, so
+// a mistyped bin count in a user's analysis fails its booking instead of
+// exhausting the node's memory.
+const MaxBins = 1 << 20
+
+// CheckAxis reports why nBins bins over [lo, hi) cannot make an axis of an
+// object booked through a Tree: a bin count outside [1, MaxBins], or
+// bounds that are not finite with lo < hi.
+func CheckAxis(nBins int, lo, hi float64) error {
+	if nBins <= 0 || nBins > MaxBins || !(lo < hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+		return fmt.Errorf("aida: invalid axis [%v,%v) with %d bins", lo, hi, nBins)
+	}
+	return nil
+}
+
 // NewAxis constructs an axis; it panics on invalid binning since binning is
-// analysis configuration, not runtime data.
+// analysis configuration, not runtime data. Binning that comes from users
+// goes through CheckAxis first (the Tree booking methods do).
 func NewAxis(nBins int, lo, hi float64) Axis {
 	if nBins <= 0 || !(lo < hi) {
 		panic(fmt.Sprintf("aida: invalid axis [%v,%v) with %d bins", lo, hi, nBins))

@@ -295,8 +295,12 @@ func CloneObject(obj Object) (Object, error) {
 // Factory-style helpers mirroring AIDA's IHistogramFactory: create the
 // object, store it at dirPath, and return it for filling.
 
-// H1D creates a Histogram1D under dirPath.
+// H1D creates a Histogram1D under dirPath. Invalid binning (see CheckAxis)
+// is an error.
 func (t *Tree) H1D(dirPath, name, title string, bins int, lo, hi float64) (*Histogram1D, error) {
+	if err := CheckAxis(bins, lo, hi); err != nil {
+		return nil, err
+	}
 	h := NewHistogram1D(name, title, bins, lo, hi)
 	if err := t.Put(dirPath, h); err != nil {
 		return nil, err
@@ -304,8 +308,18 @@ func (t *Tree) H1D(dirPath, name, title string, bins int, lo, hi float64) (*Hist
 	return h, nil
 }
 
-// H2D creates a Histogram2D under dirPath.
+// H2D creates a Histogram2D under dirPath. Invalid binning (see CheckAxis)
+// is an error.
 func (t *Tree) H2D(dirPath, name, title string, nx int, xlo, xhi float64, ny int, ylo, yhi float64) (*Histogram2D, error) {
+	if err := CheckAxis(nx, xlo, xhi); err != nil {
+		return nil, err
+	}
+	if err := CheckAxis(ny, ylo, yhi); err != nil {
+		return nil, err
+	}
+	if nx*ny > MaxBins {
+		return nil, fmt.Errorf("aida: %d×%d bins exceed the %d-bin limit", nx, ny, MaxBins)
+	}
 	h := NewHistogram2D(name, title, nx, xlo, xhi, ny, ylo, yhi)
 	if err := t.Put(dirPath, h); err != nil {
 		return nil, err
@@ -313,8 +327,12 @@ func (t *Tree) H2D(dirPath, name, title string, nx int, xlo, xhi float64, ny int
 	return h, nil
 }
 
-// P1D creates a Profile1D under dirPath.
+// P1D creates a Profile1D under dirPath. Invalid binning (see CheckAxis)
+// is an error.
 func (t *Tree) P1D(dirPath, name, title string, bins int, lo, hi float64) (*Profile1D, error) {
+	if err := CheckAxis(bins, lo, hi); err != nil {
+		return nil, err
+	}
 	p := NewProfile1D(name, title, bins, lo, hi)
 	if err := t.Put(dirPath, p); err != nil {
 		return nil, err

@@ -45,7 +45,10 @@ type Analysis interface {
 	// Init is called once before the first record (and again after a
 	// rewind); it should (re)book histograms.
 	Init(ctx *Context) error
-	// Process is called for every record.
+	// Process is called for every record. The record is borrowed: the
+	// engine reads it out of a reused window (dataset.Iterator.Next), so
+	// it is valid only until Process returns. An analysis that keeps
+	// record bytes, or values aliasing them, must copy them.
 	Process(record []byte, ctx *Context) error
 	// End is called after the last record of the staged part.
 	End(ctx *Context) error

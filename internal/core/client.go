@@ -451,12 +451,14 @@ func (c *Client) Histogram1D(path string) *aida.Histogram1D {
 	return h
 }
 
-// CloseSession tears down the remote session and the result channel.
+// CloseSession tears down the remote session and the result channel,
+// and closes the client's idle connections to the manager.
 func (c *Client) CloseSession() error {
 	if c.sessionID == "" {
 		return nil
 	}
 	err := c.ws.Call("Session.Close", c.sessionID, &CloseRequest{}, &OK{})
+	c.ws.CloseIdleConnections()
 	if c.rmi != nil {
 		c.rmi.Close()
 		c.rmi = nil

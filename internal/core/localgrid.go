@@ -124,7 +124,7 @@ type LocalGrid struct {
 
 	mu      sync.Mutex
 	scratch map[string]*storage.Element
-	engines []*engine.Engine
+	engines map[*engine.Engine]struct{} // serving engines
 	users   map[string]*gsi.Credential
 	stop    chan struct{}
 }
@@ -150,6 +150,7 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 	g := &LocalGrid{
 		opts: opts, baseDir: opts.BaseDir,
 		scratch: make(map[string]*storage.Element),
+		engines: make(map[*engine.Engine]struct{}),
 		users:   make(map[string]*gsi.Credential),
 		stop:    make(chan struct{}),
 	}
@@ -294,8 +295,13 @@ func NewLocalGrid(opts GridOptions) (*LocalGrid, error) {
 			SnapshotEvery: opts.SnapshotEvery,
 		})
 		g.mu.Lock()
-		g.engines = append(g.engines, eng)
+		g.engines[eng] = struct{}{}
 		g.mu.Unlock()
+		defer func() {
+			g.mu.Lock()
+			delete(g.engines, eng)
+			g.mu.Unlock()
+		}()
 		if err := g.Reg.Register(registry.Worker{
 			SessionID: sessionID, WorkerID: workerID, Node: node, Handle: eng,
 		}); err != nil {
@@ -439,8 +445,10 @@ func (g *LocalGrid) Close() {
 	g.Manager.Close()
 	g.Cluster.Close()
 	g.mu.Lock()
-	engines := g.engines
-	g.engines = nil
+	engines := make([]*engine.Engine, 0, len(g.engines))
+	for e := range g.engines {
+		engines = append(engines, e)
+	}
 	g.mu.Unlock()
 	for _, e := range engines {
 		e.Shutdown()

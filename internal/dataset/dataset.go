@@ -187,8 +187,8 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 		indexEvery: binary.BigEndian.Uint32(tr[16:20]),
 	}
 	indexCount := int64(binary.BigEndian.Uint64(tr[8:16]))
-	if r.indexEvery == 0 || indexCount < 0 || r.indexOff < int64(len(magic)) ||
-		r.indexOff+indexCount*8 != size-trailerSize {
+	if r.indexEvery == 0 || r.count < 0 || indexCount < 0 || indexCount > size/8 ||
+		r.indexOff < int64(len(magic)) || r.indexOff+indexCount*8 != size-trailerSize {
 		return nil, fmt.Errorf("%w: inconsistent trailer", ErrCorrupt)
 	}
 	want := (r.count + int64(r.indexEvery) - 1) / int64(r.indexEvery)
@@ -223,46 +223,66 @@ func (r *Reader) OffsetOf(i int64) (int64, error) {
 	if i == r.count {
 		return r.indexOff, nil // one past the last record
 	}
-	slot := i / int64(r.indexEvery)
-	off := int64(r.index[slot])
-	cur := slot * int64(r.indexEvery)
-	it := &Iterator{r: r, off: off, next: cur}
-	for cur < i {
-		if err := it.skip(); err != nil {
-			return 0, err
-		}
-		cur++
+	it, err := r.seek(i, seekWindow)
+	if err != nil {
+		return 0, err
 	}
 	return it.off, nil
 }
 
-// Record reads record i.
+// Record reads record i into a freshly allocated slice the caller owns.
 func (r *Reader) Record(i int64) ([]byte, error) {
 	if i < 0 || i >= r.count {
 		return nil, fmt.Errorf("dataset: record %d out of range [0,%d)", i, r.count)
 	}
-	off, err := r.OffsetOf(i)
+	// A zero-sized window reads exactly each header and the record, into
+	// buffers no other caller sees.
+	it, err := r.seek(i, 0)
 	if err != nil {
 		return nil, err
 	}
-	it := &Iterator{r: r, off: off, next: i}
+	it.stop = i + 1
 	return it.Next()
 }
 
 // Iter returns an iterator positioned at record from (inclusive),
 // stopping before record to (exclusive). to == -1 means "to the end".
 func (r *Reader) Iter(from, to int64) (*Iterator, error) {
+	return r.iter(from, to, IterWindow)
+}
+
+func (r *Reader) iter(from, to int64, window int) (*Iterator, error) {
 	if to == -1 {
 		to = r.count
 	}
 	if from < 0 || to > r.count || from > to {
 		return nil, fmt.Errorf("dataset: bad range [%d,%d) of %d", from, to, r.count)
 	}
-	off, err := r.OffsetOf(from)
+	if from == r.count {
+		return &Iterator{r: r, off: r.indexOff, next: from, stop: to}, nil
+	}
+	it, err := r.seek(from, window)
 	if err != nil {
 		return nil, err
 	}
-	return &Iterator{r: r, off: off, next: from, stop: to}, nil
+	it.stop = to
+	return it, nil
+}
+
+// seek returns an iterator at record i (< count) that reads through a
+// window of the given size, starting from the nearest index entry.
+func (r *Reader) seek(i int64, window int) (*Iterator, error) {
+	slot := i / int64(r.indexEvery)
+	it := &Iterator{r: r, off: int64(r.index[slot]), next: slot * int64(r.indexEvery), stop: r.count, size: window}
+	if it.off < int64(len(magic)) || it.off > r.indexOff {
+		return nil, fmt.Errorf("%w: index entry %d points at offset %d", ErrCorrupt, slot, it.off)
+	}
+	for it.next < i {
+		if _, err := it.advance(false); err != nil {
+			return nil, err
+		}
+	}
+	return it, nil
 }
 
 // VerifyChecksum re-reads every record and compares the running CRC with the
@@ -289,72 +309,102 @@ func (r *Reader) VerifyChecksum() error {
 	return nil
 }
 
-// Iterator walks records sequentially.
+const (
+	// IterWindow is the read window of a sequential iterator: Next
+	// serves records out of it and refills it with one ReadAt. Records
+	// larger than the window grow it to fit.
+	IterWindow = 64 << 10
+	// seekWindow serves the forward scan from an index entry, which
+	// reads only record headers.
+	seekWindow = 4 << 10
+)
+
+// Iterator walks records sequentially through a reusable read window.
 type Iterator struct {
 	r    *Reader
-	off  int64
+	off  int64 // file offset of record next
 	next int64
 	stop int64
-	buf  []byte
+	size int    // target window size
+	win  []byte // file bytes [wOff, wOff+len(win))
+	wOff int64
 }
 
 // Index returns the index of the record that Next will return.
 func (it *Iterator) Index() int64 { return it.next }
 
 // Next returns the next record, or io.EOF past the end of the range.
-// The returned slice is owned by the caller (freshly allocated).
+//
+// The returned slice borrows the iterator's read window: it is valid only
+// until the next call to Next, which may overwrite it. Callers that keep a
+// record longer must copy it (Reader.Record returns an owned copy).
 func (it *Iterator) Next() ([]byte, error) {
-	if it.stop != 0 && it.next >= it.stop {
+	if it.next >= it.stop {
 		return nil, io.EOF
 	}
-	if it.next >= it.r.count {
-		return nil, io.EOF
-	}
-	length, n, err := it.readUvarint()
+	return it.advance(true)
+}
+
+// advance steps past the record at the iterator's offset, returning its
+// bytes when body is set and reading only its header otherwise.
+func (it *Iterator) advance(body bool) ([]byte, error) {
+	w, err := it.window(binary.MaxVarintLen64)
 	if err != nil {
 		return nil, err
 	}
-	if length > MaxRecordSize {
-		return nil, fmt.Errorf("%w: record length %d", ErrCorrupt, length)
+	if len(w) == 0 {
+		return nil, fmt.Errorf("%w: record %d truncated at offset %d", ErrCorrupt, it.next, it.off)
 	}
-	rec := make([]byte, length)
-	if length > 0 {
-		if _, err := it.r.ra.ReadAt(rec, it.off+int64(n)); err != nil {
-			return nil, fmt.Errorf("dataset: reading record %d: %w", it.next, err)
+	length, n := binary.Uvarint(w)
+	if n <= 0 {
+		return nil, fmt.Errorf("%w: bad varint at offset %d", ErrCorrupt, it.off)
+	}
+	if length > MaxRecordSize || int64(length) > it.r.indexOff-it.off-int64(n) {
+		return nil, fmt.Errorf("%w: record %d length %d overruns the record area", ErrCorrupt, it.next, length)
+	}
+	end := n + int(length)
+	var rec []byte
+	if body {
+		if end > len(w) {
+			if w, err = it.window(end); err != nil {
+				return nil, err
+			}
 		}
+		rec = w[n:end:end]
 	}
-	it.off += int64(n) + int64(length)
+	it.off += int64(end)
 	it.next++
 	return rec, nil
 }
 
-// skip advances past one record without materializing it.
-func (it *Iterator) skip() error {
-	length, n, err := it.readUvarint()
-	if err != nil {
-		return err
+// window returns the file bytes from the iterator's offset on, at least
+// want of them unless the record area ends first, refilling the window
+// with one ReadAt when it does not already hold them.
+func (it *Iterator) window(want int) ([]byte, error) {
+	rem := it.r.indexOff - it.off
+	if int64(want) > rem {
+		want = int(rem)
 	}
-	it.off += int64(n) + int64(length)
-	it.next++
-	return nil
-}
-
-func (it *Iterator) readUvarint() (val uint64, n int, err error) {
-	if it.buf == nil {
-		it.buf = make([]byte, binary.MaxVarintLen64)
+	if it.off >= it.wOff && it.off+int64(want) <= it.wOff+int64(len(it.win)) {
+		return it.win[it.off-it.wOff:], nil
 	}
-	m, err := it.r.ra.ReadAt(it.buf, it.off)
-	if err != nil && err != io.EOF {
-		return 0, 0, err
+	n := max(it.size, want)
+	if int64(n) > rem {
+		n = int(rem)
 	}
-	if m == 0 {
-		return 0, 0, fmt.Errorf("%w: truncated at offset %d", ErrCorrupt, it.off)
+	if cap(it.win) < n {
+		it.win = make([]byte, n)
 	}
-	val, n = binary.Uvarint(it.buf[:m])
-	if n <= 0 {
-		return 0, 0, fmt.Errorf("%w: bad varint at offset %d", ErrCorrupt, it.off)
+	it.win = it.win[:n]
+	it.wOff = it.off
+	if m, err := it.r.ra.ReadAt(it.win, it.off); m < n {
+		it.win = it.win[:0]
+		if err == nil || err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("dataset: reading record %d: %w", it.next, err)
 	}
-	return val, n, nil
+	return it.win, nil
 }
 
 // Create opens path for writing and returns a container writer plus a

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -294,4 +295,189 @@ func TestQuickRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Property: for random record sizes (some larger than the window), index
+// strides, window sizes and range edges, windowed iteration returns the
+// same bytes as Record(i), and Record's copies survive later iteration.
+func TestWindowedIterMatchesRecord(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		window := []int{0, 1, 7, 64, 300, IterWindow}[rng.Intn(6)]
+		count := rng.Intn(120) + 1
+		recs := make([][]byte, count)
+		for i := range recs {
+			size := rng.Intn(100)
+			if rng.Intn(8) == 0 {
+				size = window + rng.Intn(500) // larger than the window
+			}
+			recs[i] = make([]byte, size)
+			rng.Read(recs[i])
+		}
+		r := build(t, recs, uint32(rng.Intn(20)+1))
+		owned := make([][]byte, count)
+		for i := range owned {
+			rec, err := r.Record(int64(i))
+			if err != nil || !bytes.Equal(rec, recs[i]) {
+				t.Logf("seed %d: Record(%d) = %v", seed, i, err)
+				return false
+			}
+			owned[i] = rec
+		}
+		for trial := 0; trial < 5; trial++ {
+			from := int64(rng.Intn(count + 1))
+			to := from + int64(rng.Intn(count-int(from)+1))
+			it, err := r.iter(from, to, window)
+			if err != nil {
+				t.Logf("seed %d: iter(%d,%d): %v", seed, from, to, err)
+				return false
+			}
+			for i := from; ; i++ {
+				if it.Index() != i {
+					return false
+				}
+				rec, err := it.Next()
+				if err == io.EOF {
+					if i != to {
+						t.Logf("seed %d: iter(%d,%d) stopped at %d", seed, from, to, i)
+						return false
+					}
+					break
+				}
+				if err != nil || !bytes.Equal(rec, owned[i]) {
+					t.Logf("seed %d: iter(%d,%d) record %d: %v", seed, from, to, i, err)
+					return false
+				}
+			}
+		}
+		for i := range owned {
+			if !bytes.Equal(owned[i], recs[i]) {
+				t.Logf("seed %d: Record(%d) copy changed by iteration", seed, i)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openTestFile writes n records of varying sizes (one in 100 larger than the
+// window) to a container file and opens it.
+func openTestFile(t testing.TB, n int) *Reader {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "iter.ipa")
+	w, closer, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < n; i++ {
+		size := 200 + rng.Intn(1500)
+		if i%100 == 99 {
+			size = IterWindow + 10
+		}
+		rec := make([]byte, size)
+		rng.Read(rec)
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := closer(); err != nil {
+		t.Fatal(err)
+	}
+	r, f, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return r
+}
+
+// TestIterNextAllocatesNothing: once its window has grown to the largest
+// record, a reused iterator reads a file without allocating.
+func TestIterNextAllocatesNothing(t *testing.T) {
+	r := openTestFile(t, 3000)
+	it, err := r.Iter(0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ { // past the first oversized record
+		if _, err := it.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(2500, func() {
+		if _, err := it.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Next allocates %v times per record", allocs)
+	}
+}
+
+func BenchmarkIterNext(b *testing.B) {
+	r := openTestFile(b, 5000)
+	var bytes int64
+	for i := int64(0); i < r.NumRecords(); i++ {
+		off0, _ := r.OffsetOf(i)
+		off1, _ := r.OffsetOf(i + 1)
+		bytes += off1 - off0
+	}
+	b.SetBytes(bytes / r.NumRecords())
+	b.ReportAllocs()
+	b.ResetTimer()
+	var it *Iterator
+	for i := 0; i < b.N; i++ {
+		if it == nil || it.Index() == r.NumRecords() {
+			it, _ = r.Iter(0, -1)
+		}
+		if _, err := it.Next(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// FuzzReaderIter feeds arbitrary bytes through NewReader, iteration,
+// random access and the checksum pass. None may panic, and every error
+// must report corruption.
+func FuzzReaderIter(f *testing.F) {
+	var buf bytes.Buffer
+	w, _ := NewWriterStride(&buf, 3)
+	for _, rec := range []string{"alpha", "", "gamma gamma", "delta", "\x00\x01\xff"} {
+		w.Append([]byte(rec))
+	}
+	w.Close()
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewReader(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("NewReader: %v is not ErrCorrupt", err)
+			}
+			return
+		}
+		check := func(what string, err error) {
+			if err != nil && err != io.EOF && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: %v is not ErrCorrupt", what, err)
+			}
+		}
+		for _, window := range []int{1, 16, IterWindow} {
+			it, err := r.iter(0, -1, window)
+			check("iter", err)
+			for err == nil {
+				_, err = it.Next()
+				check("Next", err)
+			}
+		}
+		for _, i := range []int64{0, r.NumRecords() / 2, r.NumRecords() - 1} {
+			if i >= 0 && i < r.NumRecords() {
+				_, err := r.Record(i)
+				check("Record", err)
+			}
+		}
+		check("VerifyChecksum", r.VerifyChecksum())
+	})
 }

@@ -76,6 +76,12 @@ type Engine struct {
 	reader   *dataset.Reader
 	closer   io.Closer
 	total    int64
+	// it is the loop's iterator, positioned at nextRec and kept across
+	// batches so its read window is reused. epoch counts SetPart and
+	// Rewind calls: a batch that started under an older epoch discards
+	// its results, and with them its iterator.
+	it    *dataset.Iterator
+	epoch uint64
 
 	bundle        *codeloader.Bundle
 	pendingBundle *codeloader.Bundle // swapped in at next rewind/run
@@ -160,6 +166,8 @@ func (e *Engine) SetPart(path string, globalOffset int64) error {
 	e.cfg.GlobalOffset = globalOffset
 	e.nextRec = 0
 	e.events = 0
+	e.it = nil
+	e.epoch++
 	if e.bundle != nil {
 		e.state = StateReady
 	}
@@ -260,6 +268,8 @@ func (e *Engine) Rewind() error {
 	e.events = 0
 	e.anal = nil
 	e.lastErr = nil
+	e.it = nil
+	e.epoch++
 	if e.reader != nil && e.bundle != nil {
 		e.state = StateReady
 	} else {
@@ -367,35 +377,38 @@ func (e *Engine) processBatch() {
 	anal := e.anal
 	ctx := e.ctx
 	offset := e.cfg.GlobalOffset
+	total := e.total
+	it := e.it
+	epoch := e.epoch
+	e.it = nil
 	e.mu.Unlock()
 
 	var processed int64
 	var procErr error
-	if to > from {
-		it, err := reader.Iter(from, to)
+	if to > from && (it == nil || it.Index() != from) {
+		it, procErr = reader.Iter(from, total)
+	}
+	for procErr == nil && from+processed < to {
+		rec, err := it.Next()
 		if err != nil {
 			procErr = err
-		} else {
-			for {
-				rec, err := it.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					procErr = err
-					break
-				}
-				ctx.EventIndex = offset + from + processed
-				if err := anal.Process(rec, ctx); err != nil {
-					procErr = fmt.Errorf("record %d: %w", ctx.EventIndex, err)
-					break
-				}
-				processed++
-			}
+			break
 		}
+		ctx.EventIndex = offset + from + processed
+		if err := anal.Process(rec, ctx); err != nil {
+			procErr = fmt.Errorf("record %d: %w", ctx.EventIndex, err)
+			break
+		}
+		processed++
 	}
 
 	e.mu.Lock()
+	if e.epoch != epoch {
+		// A Rewind or SetPart ran while this batch was unlocked; its
+		// reset stands and this batch's progress is void.
+		e.mu.Unlock()
+		return
+	}
 	e.nextRec = from + processed
 	e.events += processed
 	if e.stepLeft > 0 {
@@ -403,32 +416,45 @@ func (e *Engine) processBatch() {
 	}
 	finished := e.nextRec >= e.total
 	stepDone := e.stepLeft == 0
+	if procErr == nil && !finished {
+		e.it = it
+	}
+	// A run that ends (finished or failed) changes state only after its
+	// final snapshot is out, so a caller that sees Finished also sees the
+	// complete result. A step that ends pauses at once, so a Run right
+	// after it resumes.
+	var end State
 	switch {
 	case procErr != nil:
 		e.lastErr = procErr
-		e.state = StateError
+		end = StateError
 	case finished:
+		end = StateFinished
 		if err := anal.End(ctx); err != nil {
 			e.lastErr = err
-			e.state = StateError
-		} else {
-			e.state = StateFinished
+			end = StateError
 		}
 	case stepDone:
 		e.state = StatePaused
-	}
-	if procErr != nil || finished || stepDone {
 		// Wake WaitState callers; without this every wait burns its full
 		// timeout even though the state already changed.
 		e.cond.Broadcast()
 	}
-	needSnap := finished || stepDone || procErr != nil ||
+	needSnap := end != "" || stepDone ||
 		e.events%int64(e.cfg.SnapshotEvery) < processed ||
 		time.Since(e.lastSnap) >= e.cfg.SnapshotInterval
 	e.mu.Unlock()
 
 	if needSnap {
 		e.publish(procErr)
+	}
+	if end != "" {
+		e.mu.Lock()
+		if e.epoch == epoch {
+			e.state = end
+			e.cond.Broadcast()
+		}
+		e.mu.Unlock()
 	}
 }
 

@@ -7,38 +7,91 @@ import (
 // EventDecoderName is the script record-decoder key for LC event records.
 const EventDecoderName = "lc-event"
 
-// scriptEvent exposes a decoded event to scripts as an object with
-// members: number, run, signal, n, particles (array of particle objects).
-func scriptEvent(e *Event) script.Value {
-	parts := &script.Array{Elems: make([]script.Value, len(e.Particles))}
-	for i, p := range e.Particles {
-		v := p.Vec()
-		parts.Elems[i] = &script.MapObject{
-			Name: "particle",
-			Members: map[string]script.Value{
-				"id":     float64(p.ID),
-				"charge": float64(p.Charge),
-				"px":     v.Px,
-				"py":     v.Py,
-				"pz":     v.Pz,
-				"e":      v.E,
-				"pt":     v.Pt(),
-				"p":      v.P(),
-				"mass":   v.Mass(),
-				"cost":   v.CosTheta(),
-			},
-		}
+// eventView exposes a decoded event to scripts as an object with members:
+// number, run, signal, n, particles (array of particle objects). Each
+// record gets its own view and particle slab, so objects a script keeps
+// across events stay valid.
+type eventView struct {
+	number    int64
+	run       int32
+	signal    bool
+	particles script.Array
+}
+
+// TypeName implements script.HostObject.
+func (e *eventView) TypeName() string { return "event" }
+
+// Member implements script.HostObject.
+func (e *eventView) Member(name string) (script.Value, bool) {
+	switch name {
+	case "number":
+		return float64(e.number), true
+	case "run":
+		return float64(e.run), true
+	case "signal":
+		return e.signal, true
+	case "n":
+		return float64(len(e.particles.Elems)), true
+	case "particles":
+		return &e.particles, true
 	}
-	return &script.MapObject{
-		Name: "event",
-		Members: map[string]script.Value{
-			"number":    float64(e.Number),
-			"run":       float64(e.Run),
-			"signal":    e.IsSignal,
-			"n":         float64(len(e.Particles)),
-			"particles": parts,
-		},
+	return nil, false
+}
+
+// particleView exposes one particle with members id, charge, px, py, pz,
+// e and the derived pt, p, mass and cost, which are computed only when a
+// script reads them. It holds a copy of the particle, not a reference
+// into the record.
+type particleView struct {
+	p Particle
+}
+
+// TypeName implements script.HostObject.
+func (v *particleView) TypeName() string { return "particle" }
+
+// Member implements script.HostObject.
+func (v *particleView) Member(name string) (script.Value, bool) {
+	switch name {
+	case "id":
+		return float64(v.p.ID), true
+	case "charge":
+		return float64(v.p.Charge), true
+	case "px":
+		return float64(v.p.Px), true
+	case "py":
+		return float64(v.p.Py), true
+	case "pz":
+		return float64(v.p.Pz), true
+	case "e":
+		return float64(v.p.E), true
+	case "pt":
+		return v.p.Vec().Pt(), true
+	case "p":
+		return v.p.Vec().P(), true
+	case "mass":
+		return v.p.Vec().Mass(), true
+	case "cost":
+		return v.p.Vec().CosTheta(), true
 	}
+	return nil, false
+}
+
+// decodeScriptEvent builds the script view of one record: the event
+// object, one slab of particle views and the array over them.
+func decodeScriptEvent(rec []byte) (script.Value, error) {
+	var hdr Event
+	n, err := decodeHeader(rec, &hdr)
+	if err != nil {
+		return nil, err
+	}
+	ev := &eventView{number: hdr.Number, run: hdr.Run, signal: hdr.IsSignal}
+	slab := make([]particleView, n)
+	ev.particles.Elems = make([]script.Value, n)
+	for i := range slab {
+		slab[i].p = particleAt(rec, i)
+		ev.particles.Elems[i] = &slab[i]
+	}
+	return ev, nil
 }
 
 // pairMass computes the invariant mass of two particle script objects —
@@ -47,38 +100,20 @@ func pairMass(args []script.Value) (script.Value, error) {
 	if len(args) != 2 {
 		return nil, errArity
 	}
-	v1, err := particleVec(args[0])
-	if err != nil {
-		return nil, err
+	p1, ok1 := args[0].(*particleView)
+	p2, ok2 := args[1].(*particleView)
+	if !ok1 || !ok2 {
+		return nil, errNotParticle
 	}
-	v2, err := particleVec(args[1])
-	if err != nil {
-		return nil, err
-	}
-	return v1.Add(v2).Mass(), nil
+	return p1.p.Vec().Add(p2.p.Vec()).Mass(), nil
 }
 
-var errArity = &script.RuntimeError{Msg: "pairMass expects (particle, particle)"}
-
-func particleVec(v script.Value) (FourVec, error) {
-	o, ok := v.(*script.MapObject)
-	if !ok || o.Name != "particle" {
-		return FourVec{}, &script.RuntimeError{Msg: "pairMass: argument is not a particle"}
-	}
-	px, _ := o.Members["px"].(float64)
-	py, _ := o.Members["py"].(float64)
-	pz, _ := o.Members["pz"].(float64)
-	e, _ := o.Members["e"].(float64)
-	return FourVec{px, py, pz, e}, nil
-}
+var (
+	errArity       = &script.RuntimeError{Msg: "pairMass expects (particle, particle)"}
+	errNotParticle = &script.RuntimeError{Msg: "pairMass: argument is not a particle"}
+)
 
 func init() {
-	script.RegisterDecoder(EventDecoderName, func(rec []byte) (script.Value, error) {
-		var e Event
-		if err := UnmarshalInto(rec, &e); err != nil {
-			return nil, err
-		}
-		return scriptEvent(&e), nil
-	})
+	script.RegisterDecoder(EventDecoderName, decodeScriptEvent)
 	script.RegisterGlobal("pairMass", script.HostFunc(pairMass))
 }

@@ -168,7 +168,14 @@ func (c *Client) StoreFrom(path string, ra io.ReaderAt, size int64) error {
 		return nil
 	}
 
+	// Open no more streams than there are blocks: the server finishes
+	// once every byte has arrived and closes its data listener, so a
+	// stream with nothing to send could dial after that and fail a
+	// transfer that has succeeded.
 	streams := c.parallel
+	if blocks := (size + blockSize - 1) / blockSize; blocks < int64(streams) {
+		streams = int(blocks)
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, streams)
 	// Round-robin blocks across streams: stream k sends blocks k, k+S, …

@@ -6,8 +6,9 @@
 // Every constant derives from the paper's own measurements (see Params).
 // The experiments reproduce Table 1 (local vs Grid), Table 2 (staging and
 // analysis vs node count), Figure 5 (time surfaces over dataset size ×
-// nodes), and the §4 fitted equations, plus the ablations DESIGN.md calls
-// out. EXPERIMENTS.md records paper-vs-measured for each.
+// nodes), and the §4 fitted equations, plus the framework's ablation
+// experiments. The table reports print paper and simulated values side by
+// side.
 package perf
 
 import (
@@ -80,7 +81,7 @@ func PaperParams() Params {
 // 53 + (62 + 5.3·X)/N) rather than the raw tables. The paper's equations
 // and tables disagree with each other (the 5.3 s/MB analysis coefficient
 // vs Table 2's measured 0.7 s/MB; the 6.2 s/MB WAN coefficient vs
-// Table 1's 4.1) — see EXPERIMENTS.md. Figure 5 plots the equations, so
+// Table 1's 4.1). Figure 5 plots the equations, so
 // reproducing it exactly needs this calibration. The LAN rate of 7.6 MB/s
 // makes the parts term equal 62/N at the paper's 471 MB operating point.
 func EquationCalibratedParams() Params {
@@ -188,7 +189,7 @@ func SimulateLocal(p Params, sizeMB float64) LocalRun {
 	}
 }
 
-// Paper-reported values (for EXPERIMENTS.md comparisons).
+// Paper-reported values, the reference side of every comparison.
 
 // PaperTable1 holds the paper's Table 1 rows in seconds.
 type PaperTable1Values struct {

@@ -48,8 +48,8 @@ func TestTable2MatchesPaperShape(t *testing.T) {
 	}
 	// Paper deviation in mid rows stays bounded (documented residuals:
 	// the paper's middle points are single anecdotal runs whose implied
-	// parallel efficiency is not consistent with any 2-parameter model —
-	// see EXPERIMENTS.md). Move-parts ≤ 20%; analysis ≤ 40%.
+	// parallel efficiency is not consistent with any 2-parameter model).
+	// Move-parts ≤ 20%; analysis ≤ 40%.
 	for i := range sim {
 		p := paper[i]
 		if math.Abs(sim[i].MoveParts-p.MoveParts)/p.MoveParts > 0.20 {

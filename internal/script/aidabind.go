@@ -35,7 +35,7 @@ func (t *TreeObject) Member(name string) (Value, bool) {
 			}
 			h, err := t.Tree.H1D(dir, nm, title, bins, lo, hi)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("tree.h1d: %v", err)
 			}
 			return &H1DObject{H: h}, nil
 		}), true
@@ -58,12 +58,20 @@ func (t *TreeObject) Member(name string) (Value, bool) {
 				}
 				nums[i] = f
 			}
+			nx, err := binCount(nums[0])
+			if err != nil {
+				return nil, fmt.Errorf("tree.h2d: %v", err)
+			}
+			ny, err := binCount(nums[3])
+			if err != nil {
+				return nil, fmt.Errorf("tree.h2d: %v", err)
+			}
 			if existing, ok := t.Tree.Get(dir + "/" + nm).(*aida.Histogram2D); ok {
 				return &H2DObject{H: existing}, nil
 			}
-			h, err := t.Tree.H2D(dir, nm, title, int(nums[0]), nums[1], nums[2], int(nums[3]), nums[4], nums[5])
+			h, err := t.Tree.H2D(dir, nm, title, nx, nums[1], nums[2], ny, nums[4], nums[5])
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("tree.h2d: %v", err)
 			}
 			return &H2DObject{H: h}, nil
 		}), true
@@ -78,7 +86,7 @@ func (t *TreeObject) Member(name string) (Value, bool) {
 			}
 			p, err := t.Tree.P1D(dir, nm, title, bins, lo, hi)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("tree.p1d: %v", err)
 			}
 			return &P1DObject{P: p}, nil
 		}), true
@@ -143,12 +151,23 @@ func histArgs(args []Value) (dir, name, title string, bins int, lo, hi float64, 
 	if b, err = Number(args[3]); err != nil {
 		return
 	}
-	bins = int(b)
+	if bins, err = binCount(b); err != nil {
+		return
+	}
 	if lo, err = Number(args[4]); err != nil {
 		return
 	}
 	hi, err = Number(args[5])
 	return
+}
+
+// binCount converts a script number to a bin count, rejecting values no
+// axis accepts before the integer conversion can wrap them.
+func binCount(f float64) (int, error) {
+	if !(f >= 1 && f <= aida.MaxBins) {
+		return 0, fmt.Errorf("bin count %v outside [1, %d]", f, aida.MaxBins)
+	}
+	return int(f), nil
 }
 
 // H1DObject wraps a Histogram1D.

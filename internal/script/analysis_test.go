@@ -250,3 +250,38 @@ func TestDecoderRegistry(t *testing.T) {
 	}()
 	RegisterDecoder("test-upper", d)
 }
+
+// TestBadBinningIsInitError: histogram bookings with binning no axis
+// accepts come back from Init as script errors instead of panicking the
+// process that runs the engine.
+func TestBadBinningIsInitError(t *testing.T) {
+	for _, booking := range []string{
+		`tree.h1d("/d", "m", "", 40, 160, 0)`,
+		`tree.h1d("/d", "m", "", 0, 0, 1)`,
+		`tree.h1d("/d", "m", "", -5, 0, 1)`,
+		`tree.h1d("/d", "m", "", 10, 0, sqrt(-1))`,
+		`tree.h1d("/d", "m", "", sqrt(-1), 0, 1)`,
+		`tree.h1d("/d", "m", "", 1e12, 0, 1)`,
+		`tree.h1d("/d", "m", "", 10, -exp(1000), 1)`,
+		`tree.p1d("/d", "p", "", 10, 5, 5)`,
+		`tree.p1d("/d", "p", "", 0, 0, 1)`,
+		`tree.h2d("/d", "h", "", 10, 0, 1, 10, 1, 0)`,
+		`tree.h2d("/d", "h", "", 0, 0, 1, 10, 0, 1)`,
+		`tree.h2d("/d", "h", "", 10, sqrt(-1), 1, 10, 0, 1)`,
+		`tree.h2d("/d", "h", "", 100000, 0, 1, 100000, 0, 1)`,
+	} {
+		a, err := NewAnalysis("h = "+booking+"; function process(r) {}", "raw")
+		if err != nil {
+			t.Fatalf("%s: compile: %v", booking, err)
+		}
+		err = a.Init(&analysis.Context{Tree: aida.NewTree()})
+		if err == nil {
+			t.Errorf("%s: Init succeeded", booking)
+			continue
+		}
+		fn := booking[:strings.Index(booking, "(")]
+		if !strings.Contains(err.Error(), fn+":") {
+			t.Errorf("%s: error %q does not name %s", booking, err, fn)
+		}
+	}
+}

@@ -209,25 +209,3 @@ func Str(v Value) (string, error) {
 	}
 	return "", fmt.Errorf("expected string, got %s", TypeName(v))
 }
-
-// MapObject is a convenience HostObject backed by a Go map — useful for
-// exposing fixed-shape records (the decoded dataset events) without
-// defining a new type per field set.
-type MapObject struct {
-	Name    string
-	Members map[string]Value
-}
-
-// Member implements HostObject.
-func (m *MapObject) Member(name string) (Value, bool) {
-	v, ok := m.Members[name]
-	return v, ok
-}
-
-// TypeName implements HostObject.
-func (m *MapObject) TypeName() string {
-	if m.Name != "" {
-		return m.Name
-	}
-	return "object"
-}

@@ -94,6 +94,9 @@ type Session struct {
 	ID      string
 	Token   string
 	OwnerDN string
+	// resKey is the session's WS-Resource key in the service's resource
+	// home: lifetime renewal and teardown go through it.
+	resKey string
 
 	mu      sync.Mutex
 	state   State
@@ -183,11 +186,11 @@ func (s *Service) Create(ownerDN string) (*Session, error) {
 	}
 	sess.state = StateActive
 
+	sess.resKey = s.home.Create(sess, s.cfg.SessionLifetime).Key
 	s.mu.Lock()
 	s.sessions[id] = sess
 	s.byToken[token] = sess
 	s.mu.Unlock()
-	s.home.Create(sess, s.cfg.SessionLifetime)
 	return sess, nil
 }
 
@@ -548,6 +551,7 @@ func (s *Service) Status(sessionID string) (Status, error) {
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	s.touch(sess)
 	st := Status{ID: sess.ID, State: sess.state}
 	if sess.ds != nil {
 		st.Dataset = sess.ds.ID
@@ -652,13 +656,20 @@ func (s *Service) teardown(sess *Session) {
 	delete(s.sessions, sess.ID)
 	delete(s.byToken, sess.Token)
 	s.mu.Unlock()
+	// Release the resource; when the sweeper expired it, it is already
+	// gone and this is a no-op.
+	s.home.Destroy(sess.resKey)
 }
 
-// touch renews the session's WSRF lifetime on activity.
+// touch renews the session's WSRF lifetime on activity: the sweeper
+// destroys a session only after SessionLifetime without any.
 func (s *Service) touch(sess *Session) {
-	// Lifetime renewal is best-effort: sweep timing is coarse anyway.
-	_ = sess
+	s.home.SetTermination(sess.resKey, time.Now().Add(s.cfg.SessionLifetime))
 }
+
+// Resources returns the number of live session resources in the
+// service's resource home.
+func (s *Service) Resources() int { return s.home.Len() }
 
 // Sweep destroys expired sessions; call periodically.
 func (s *Service) Sweep() int { return s.home.Sweep(time.Now()) }

@@ -280,6 +280,10 @@ func NewClient(addr string, tlsCfg *tls.Config) *Client {
 	}
 }
 
+// CloseIdleConnections closes the client's idle keep-alive connections.
+// Later calls dial afresh.
+func (c *Client) CloseIdleConnections() { c.http.CloseIdleConnections() }
+
 // Call invokes Service.Operation with an optional resource key. req may be
 // nil; resp may be nil to ignore the body. Remote faults return *Fault.
 func (c *Client) Call(action, resourceKey string, req, resp any) error {

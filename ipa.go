@@ -6,8 +6,8 @@
 // the LocalGrid harness (a complete single-process Grid site), the Client
 // (the JAS3-analogue the scientist drives), the event generator and
 // dataset tooling, and the performance experiments that regenerate the
-// paper's evaluation. See README.md for a quickstart and DESIGN.md for the
-// full architecture.
+// paper's evaluation. See README.md for a quickstart and the architecture of
+// each subsystem.
 package ipa
 
 import (
