@@ -187,7 +187,8 @@ func BenchmarkHistogramMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotPublish measures a full worker snapshot ingestion.
+// BenchmarkSnapshotPublish measures a full worker snapshot ingestion
+// (a full-baseline delta, as sent on a first publish or after a rewind).
 func BenchmarkSnapshotPublish(b *testing.B) {
 	tree := aida.NewTree()
 	for o := 0; o < 10; o++ {
@@ -196,13 +197,13 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 			h.Fill(float64(i % 100))
 		}
 	}
-	st, _ := tree.State()
+	d, _ := tree.FullDelta()
 	m := merge.NewManager()
 	var rep merge.PublishReply
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		err := m.Publish(merge.PublishArgs{
-			SessionID: "s", WorkerID: "w", Seq: int64(i + 1), Tree: *st,
+			SessionID: "s", WorkerID: "w", Seq: int64(i + 1), Delta: d,
 		}, &rep)
 		if err != nil {
 			b.Fatal(err)
@@ -210,12 +211,11 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 	}
 }
 
-// benchPublishPollCycle measures one snapshot→publish→incremental-poll
+// BenchmarkDeltaPublish measures one snapshot→publish→incremental-poll
 // cycle against a manager holding 20 histograms of which one changes per
-// cycle — the steady state of an interactive session. full selects the
-// retained whole-tree baseline path; otherwise the delta path.
-func benchPublishPollCycle(b *testing.B, full bool) {
-	b.Helper()
+// cycle — the steady state of an interactive session, whose cost is
+// proportional to what changed, not to total state.
+func BenchmarkDeltaPublish(b *testing.B) {
 	tree := aida.NewTree()
 	hs := make([]*aida.Histogram1D, 20)
 	for o := range hs {
@@ -231,20 +231,11 @@ func benchPublishPollCycle(b *testing.B, full bool) {
 	m := merge.NewManager()
 	var rep merge.PublishReply
 	publish := func(seq int64) {
-		args := merge.PublishArgs{SessionID: "s", WorkerID: "w", Seq: seq}
-		if full {
-			st, err := tree.State()
-			if err != nil {
-				b.Fatal(err)
-			}
-			args.Tree = *st
-		} else {
-			d, err := tree.Delta()
-			if err != nil {
-				b.Fatal(err)
-			}
-			args.Delta = d
+		d, err := tree.Delta()
+		if err != nil {
+			b.Fatal(err)
 		}
+		args := merge.PublishArgs{SessionID: "s", WorkerID: "w", Seq: seq, Delta: d}
 		if err := m.Publish(args, &rep); err != nil || !rep.Accepted {
 			b.Fatalf("publish seq %d: %v %+v", seq, err, rep)
 		}
@@ -269,14 +260,6 @@ func benchPublishPollCycle(b *testing.B, full bool) {
 		}
 		since = poll.Version
 	}
-}
-
-// BenchmarkDeltaPublish compares the delta publish+poll cycle against the
-// retained full-snapshot baseline (the headline of this PR's ablation:
-// cost proportional to what changed, not total state).
-func BenchmarkDeltaPublish(b *testing.B) {
-	b.Run("mode=full", func(b *testing.B) { benchPublishPollCycle(b, true) })
-	b.Run("mode=delta", func(b *testing.B) { benchPublishPollCycle(b, false) })
 }
 
 // BenchmarkPollIncremental measures the client-facing poll alone while a
@@ -415,9 +398,8 @@ func BenchmarkShardRouterPublishPoll(b *testing.B) {
 
 // BenchmarkWarmPollFrameDecode measures the client-side decode of a warm
 // poll's changed-object frame — the per-poll allocation source the frame
-// free list eliminates. The pooled path decodes into a recycled buffer
-// and must report 0 allocs/op; the unpooled sub-benchmark is the
-// retained ablation baseline (one allocation per frame).
+// free list eliminates. The decode lands in a recycled buffer and must
+// report 0 allocs/op.
 func BenchmarkWarmPollFrameDecode(b *testing.B) {
 	h := aida.NewHistogram1D("h", "", 100, 0, 100)
 	for i := 0; i < 1000; i++ {
@@ -432,29 +414,20 @@ func BenchmarkWarmPollFrameDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	raw := append([]byte(nil), frame...)
-	for _, mode := range []struct {
-		name    string
-		pooling bool
-	}{{"pooled", true}, {"unpooled", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			aida.SetFramePooling(mode.pooling)
-			defer aida.SetFramePooling(true)
-			var f aida.ObjectFrame
-			// Warm the free list so the timed region sees steady state.
-			for i := 0; i < 8; i++ {
-				if err := f.GobDecode(raw); err != nil {
-					b.Fatal(err)
-				}
-				f.Release()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := f.GobDecode(raw); err != nil {
-					b.Fatal(err)
-				}
-				f.Release()
-			}
-		})
+	var f aida.ObjectFrame
+	// Warm the free list so the timed region sees steady state.
+	for i := 0; i < 8; i++ {
+		if err := f.GobDecode(raw); err != nil {
+			b.Fatal(err)
+		}
+		f.Release()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.GobDecode(raw); err != nil {
+			b.Fatal(err)
+		}
+		f.Release()
 	}
 }

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	ipa-bench [-exp table1|table2|figure5|equations|queue|merge|streams|poll|publish|hierarchy|pollcache|wire|shard|lock|place|repl|mcore|obs|chaos|relay|all] [-out DIR] [-json FILE] [-tiny] [-cpuprofile FILE] [-memprofile FILE]
+//	ipa-bench [-exp table1|table2|figure5|equations|queue|merge|streams|poll|hierarchy|wire|shard|place|repl|mcore|obs|chaos|relay|all] [-out DIR] [-json FILE] [-tiny] [-cpuprofile FILE] [-memprofile FILE]
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"github.com/ipa-grid/ipa/internal/aida"
@@ -90,9 +89,9 @@ func run(exp, outDir, jsonPath string, tiny bool) error {
 	w := os.Stdout
 	all := exp == "all"
 	switch exp {
-	case "all", "table1", "table2", "figure5", "equations", "queue", "merge", "streams", "poll", "publish", "hierarchy", "pollcache", "wire", "shard", "lock", "place", "repl", "mcore", "obs", "chaos", "relay":
+	case "all", "table1", "table2", "figure5", "equations", "queue", "merge", "streams", "poll", "hierarchy", "wire", "shard", "place", "repl", "mcore", "obs", "chaos", "relay":
 	default:
-		return fmt.Errorf("unknown experiment %q (want table1|table2|figure5|equations|queue|merge|streams|poll|publish|hierarchy|pollcache|wire|shard|lock|place|repl|mcore|obs|chaos|relay|all)", exp)
+		return fmt.Errorf("unknown experiment %q (want table1|table2|figure5|equations|queue|merge|streams|poll|hierarchy|wire|shard|place|repl|mcore|obs|chaos|relay|all)", exp)
 	}
 	// metrics accumulates the headline number of every experiment that
 	// ran; the baseline file lets future PRs diff perf without re-parsing
@@ -223,53 +222,18 @@ func run(exp, outDir, jsonPath string, tiny bool) error {
 		metrics["poll_full_bytes"] = float64(r.FullBytes)
 		metrics["poll_incremental_bytes"] = float64(r.IncrementalBytes)
 	}
-	if all || exp == "publish" {
-		rows, err := perf.PublishAblation(8, 50, 20, 1)
-		if err != nil {
-			return err
-		}
-		t := &aida.Table{Title: "A5 — snapshot publishing, 8 workers x 50 rounds, 1 of 20 histograms touched",
-			Columns: []string{"Mode", "Wall ms", "Allocs/round", "Wire B/publish"}}
-		for _, r := range rows {
-			t.AddRow(r.Mode, fmt.Sprintf("%d", r.WallMS),
-				fmt.Sprintf("%.0f", r.AllocsPerRound), fmt.Sprintf("%d", r.WireBytesPerPublish))
-			metrics["publish_"+r.Mode+"_wall_ms"] = float64(r.WallMS)
-			metrics["publish_"+r.Mode+"_allocs_per_round"] = r.AllocsPerRound
-			metrics["publish_"+r.Mode+"_wire_bytes"] = float64(r.WireBytesPerPublish)
-		}
-		fmt.Fprintln(w, t.String())
-	}
 	if all || exp == "hierarchy" {
-		rows, err := perf.HierarchyAblation(4, 8, 40, 20, 1)
+		r, err := perf.HierarchyAblation(4, 8, 40, 20, 1)
 		if err != nil {
 			return err
 		}
-		t := &aida.Table{Title: "A6 — SubMerger forwarding, 4 groups x 8 workers x 40 rounds, 1 of 20 touched",
-			Columns: []string{"Mode", "Upstream B/flush", "Allocs/round", "Wall ms"}}
-		for _, r := range rows {
-			t.AddRow(r.Mode, fmt.Sprintf("%d", r.UpstreamBytesPerFlush),
-				fmt.Sprintf("%.0f", r.AllocsPerRound), fmt.Sprintf("%d", r.WallMS))
-			key := "hier_" + strings.ReplaceAll(r.Mode, "-", "_")
-			metrics[key+"_bytes_per_flush"] = float64(r.UpstreamBytesPerFlush)
-			metrics[key+"_allocs_per_round"] = r.AllocsPerRound
-			metrics[key+"_wall_ms"] = float64(r.WallMS)
-		}
-		fmt.Fprintln(w, t.String())
-	}
-	if all || exp == "pollcache" {
-		rows, err := perf.PollCacheAblation(64, 20)
-		if err != nil {
-			return err
-		}
-		t := &aida.Table{Title: "A7 — poll encode cache, 64 clients x 20 histograms",
-			Columns: []string{"Mode", "Allocs/poll", "us/poll", "Hits", "Misses"}}
-		for _, r := range rows {
-			t.AddRow(r.Mode, fmt.Sprintf("%.0f", r.AllocsPerPoll), fmt.Sprintf("%.0f", r.MicrosPerPoll),
-				fmt.Sprintf("%d", r.Hits), fmt.Sprintf("%d", r.Misses))
-			metrics["pollcache_"+r.Mode+"_allocs_per_poll"] = r.AllocsPerPoll
-			metrics["pollcache_"+r.Mode+"_us_per_poll"] = r.MicrosPerPoll
-			metrics["pollcache_"+r.Mode+"_hits"] = float64(r.Hits)
-		}
+		t := &aida.Table{Title: "A6 — SubMerger delta forwarding, 4 groups x 8 workers x 40 rounds, 1 of 20 touched",
+			Columns: []string{"Upstream B/flush", "Allocs/round", "Wall ms"}}
+		t.AddRow(fmt.Sprintf("%d", r.UpstreamBytesPerFlush),
+			fmt.Sprintf("%.0f", r.AllocsPerRound), fmt.Sprintf("%d", r.WallMS))
+		metrics["hier_delta_flush_bytes_per_flush"] = float64(r.UpstreamBytesPerFlush)
+		metrics["hier_delta_flush_allocs_per_round"] = r.AllocsPerRound
+		metrics["hier_delta_flush_wall_ms"] = float64(r.WallMS)
 		fmt.Fprintln(w, t.String())
 	}
 	if all || exp == "wire" {
@@ -308,69 +272,22 @@ func run(exp, outDir, jsonPath string, tiny bool) error {
 		}
 		fmt.Fprintln(w, t.String())
 	}
-	if all || exp == "lock" {
-		// A10a: coarse vs fine-grained fabric locking under concurrent
-		// sessions with dedicated pollers; -tiny keeps the CI smoke
-		// (run under -race) fast. Note: on a 1-CPU host the fine rows
-		// can only show contention-overhead savings, not parallel
-		// scaling.
-		shards, sessions, workers, pollers, rounds, objects := []int{1, 4, 8}, []int{8, 32}, 4, 4, 40, 20
-		if tiny {
-			shards, sessions, workers, pollers, rounds, objects = []int{1, 2}, []int{2}, 2, 2, 8, 4
-		}
-		rows, err := perf.LockAblation(shards, sessions, workers, pollers, rounds, objects)
-		if err != nil {
-			return err
-		}
-		t := &aida.Table{Title: fmt.Sprintf("A10a — fabric locking, %d workers + %d pollers per session", workers, pollers),
-			Columns: []string{"Mode", "Shards", "Sessions", "Publishes/s", "Polls/s", "Fast-poll %", "Wall ms"}}
-		for _, r := range rows {
-			t.AddRow(r.Mode, fmt.Sprintf("%d", r.Shards), fmt.Sprintf("%d", r.Sessions),
-				fmt.Sprintf("%.0f", r.PublishesPerSec), fmt.Sprintf("%.0f", r.PollsPerSec),
-				fmt.Sprintf("%.0f", 100*r.FastPollFrac), fmt.Sprintf("%d", r.WallMS))
-			key := fmt.Sprintf("lock_%s_s%d_n%d", r.Mode, r.Shards, r.Sessions)
-			metrics[key+"_publish_per_s"] = r.PublishesPerSec
-			metrics[key+"_poll_per_s"] = r.PollsPerSec
-			metrics[key+"_fastpoll_frac"] = r.FastPollFrac
-		}
-		fmt.Fprintln(w, t.String())
-
-		// A10b: pipelined vs serialized RMI calls on one connection.
-		callers, calls := 8, 300
-		if tiny {
-			callers, calls = 4, 40
-		}
-		rrows, err := perf.RMIPipelineAblation(callers, calls)
-		if err != nil {
-			return err
-		}
-		t2 := &aida.Table{Title: fmt.Sprintf("A10b — RMI calls on one connection, %d concurrent callers x %d calls", callers, calls),
-			Columns: []string{"Mode", "Calls/s", "Wall ms"}}
-		for _, r := range rrows {
-			t2.AddRow(r.Mode, fmt.Sprintf("%.0f", r.CallsPerSec), fmt.Sprintf("%d", r.WallMS))
-			metrics["rmi_"+r.Mode+"_calls_per_s"] = r.CallsPerSec
-		}
-		fmt.Fprintln(w, t2.String())
-	}
 	if all || exp == "place" {
-		// A11a: the RCU placement table vs the retained locked routing
-		// baseline under a quiescent-poll storm; -tiny keeps the CI
-		// smoke (run under -race) fast.
+		// A11a: the RCU placement table under a quiescent-poll storm;
+		// -tiny keeps the CI smoke (run under -race) fast.
 		shards, sessions, pollers, polls := 4, 8, 4, 2000
 		if tiny {
 			shards, sessions, pollers, polls = 2, 2, 2, 150
 		}
-		rrows, err := perf.RouteAblation(shards, sessions, pollers, polls)
+		rr, err := perf.RouteAblation(shards, sessions, pollers, polls)
 		if err != nil {
 			return err
 		}
-		t := &aida.Table{Title: fmt.Sprintf("A11a — owner resolution, %d shards, %d sessions x %d pollers x %d polls",
+		t := &aida.Table{Title: fmt.Sprintf("A11a — RCU owner resolution, %d shards, %d sessions x %d pollers x %d polls",
 			shards, sessions, pollers, polls),
-			Columns: []string{"Routing", "Polls/s", "Wall ms"}}
-		for _, r := range rrows {
-			t.AddRow(r.Mode, fmt.Sprintf("%.0f", r.PollsPerSec), fmt.Sprintf("%d", r.WallMS))
-			metrics["place_route_"+r.Mode+"_poll_per_s"] = r.PollsPerSec
-		}
+			Columns: []string{"Polls/s", "Wall ms"}}
+		t.AddRow(fmt.Sprintf("%.0f", rr.PollsPerSec), fmt.Sprintf("%d", rr.WallMS))
+		metrics["place_route_rcu_poll_per_s"] = rr.PollsPerSec
 		fmt.Fprintln(w, t.String())
 
 		// A11b: load-weighted rebalancing under skewed per-session load.
@@ -479,11 +396,11 @@ func run(exp, outDir, jsonPath string, tiny bool) error {
 		}
 	}
 	if all || exp == "mcore" {
-		// A13 — multicore raw-speed sweep: the four rebuilt hot paths
-		// (bulk fills, coalesced publishes, binary envelope, pooled
-		// frame decodes) against their retained baselines, per
-		// GOMAXPROCS setting. Settings above runtime.NumCPU are capped:
-		// an oversubscribed scheduler must not masquerade as scaling.
+		// A13 — multicore raw-speed sweep: bulk fills (vs scalar
+		// fills), coalesced publishes, RMI round trips and pooled frame
+		// decodes, per GOMAXPROCS setting. Settings above
+		// runtime.NumCPU are capped: an oversubscribed scheduler must
+		// not masquerade as scaling.
 		procs := []int{1, 2, 4, runtime.NumCPU()}
 		fills, sessions, rounds, objects, calls := 1<<20, 8, 120, 16, 2000
 		if tiny {
@@ -496,26 +413,20 @@ func run(exp, outDir, jsonPath string, tiny bool) error {
 		if err != nil {
 			return err
 		}
-		t := &aida.Table{Title: fmt.Sprintf("A13 — multicore raw speed (host has %d CPUs), new path vs retained baseline",
-			runtime.NumCPU()),
-			Columns: []string{"Procs", "FillN/s", "Fill/s", "Batched ops/s", "Unbatched", "Coalesce", "v2 calls/s", "gob calls/s", "Pooled allocs", "Unpooled"}}
+		t := &aida.Table{Title: fmt.Sprintf("A13 — multicore raw speed (host has %d CPUs)", runtime.NumCPU()),
+			Columns: []string{"Procs", "FillN/s", "Fill/s", "Batched ops/s", "Coalesce", "RMI calls/s", "Allocs/decode"}}
 		for _, r := range rows {
 			t.AddRow(fmt.Sprintf("%d", r.Procs),
 				fmt.Sprintf("%.1fM", r.FillNPerSec/1e6), fmt.Sprintf("%.1fM", r.ScalarPerSec/1e6),
-				fmt.Sprintf("%.0f", r.BatchedOpsPerSec), fmt.Sprintf("%.0f", r.UnbatchedOpsPerSec),
-				fmt.Sprintf("%.1fx", r.CoalesceFactor),
-				fmt.Sprintf("%.0f", r.V2CallsPerSec), fmt.Sprintf("%.0f", r.GobCallsPerSec),
-				fmt.Sprintf("%.2f", r.PooledAllocsPerDecode), fmt.Sprintf("%.2f", r.UnpooledAllocsPerDecode))
+				fmt.Sprintf("%.0f", r.BatchedOpsPerSec), fmt.Sprintf("%.1fx", r.CoalesceFactor),
+				fmt.Sprintf("%.0f", r.CallsPerSec), fmt.Sprintf("%.2f", r.AllocsPerDecode))
 			key := fmt.Sprintf("mcore_p%d", r.Procs)
 			metrics[key+"_filln_per_s"] = r.FillNPerSec
 			metrics[key+"_fill_per_s"] = r.ScalarPerSec
 			metrics[key+"_batched_ops_per_s"] = r.BatchedOpsPerSec
-			metrics[key+"_unbatched_ops_per_s"] = r.UnbatchedOpsPerSec
 			metrics[key+"_coalesce_factor"] = r.CoalesceFactor
-			metrics[key+"_rmi_v2_calls_per_s"] = r.V2CallsPerSec
-			metrics[key+"_rmi_gob_calls_per_s"] = r.GobCallsPerSec
-			metrics[key+"_pooled_allocs_per_decode"] = r.PooledAllocsPerDecode
-			metrics[key+"_unpooled_allocs_per_decode"] = r.UnpooledAllocsPerDecode
+			metrics[key+"_rmi_v2_calls_per_s"] = r.CallsPerSec
+			metrics[key+"_pooled_allocs_per_decode"] = r.AllocsPerDecode
 		}
 		fmt.Fprintln(w, t.String())
 		if n := len(rows); n > 1 && rows[0].BatchedOpsPerSec > 0 {

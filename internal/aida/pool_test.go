@@ -1,7 +1,6 @@
 // Frame free-list contract: a Release-recycled buffer must never leak
-// one decode's bytes into the next, oversized buffers must not be
-// retained, and the pooling ablation switch must leave decode results
-// unchanged.
+// one decode's bytes into the next, and oversized buffers must not be
+// retained.
 package aida
 
 import (
@@ -41,22 +40,18 @@ func decodeEntries(t *testing.T, raw []byte) int64 {
 }
 
 func TestFrameReleaseRecyclesWithoutCrosstalk(t *testing.T) {
-	for _, pooling := range []bool{true, false} {
-		SetFramePooling(pooling)
-		a := encodeHistFrame(t, "a", 500)
-		b := encodeHistFrame(t, "b", 77)
-		// Alternate decodes so, with pooling on, b decodes into a's
-		// released (larger) buffer and vice versa.
-		for i := 0; i < 8; i++ {
-			if got := decodeEntries(t, a); got != 500 {
-				t.Fatalf("pooling=%v round %d: frame a decoded to %d entries, want 500", pooling, i, got)
-			}
-			if got := decodeEntries(t, b); got != 77 {
-				t.Fatalf("pooling=%v round %d: frame b decoded to %d entries, want 77", pooling, i, got)
-			}
+	a := encodeHistFrame(t, "a", 500)
+	b := encodeHistFrame(t, "b", 77)
+	// Alternate decodes so b decodes into a's released (larger) buffer
+	// and vice versa.
+	for i := 0; i < 8; i++ {
+		if got := decodeEntries(t, a); got != 500 {
+			t.Fatalf("round %d: frame a decoded to %d entries, want 500", i, got)
+		}
+		if got := decodeEntries(t, b); got != 77 {
+			t.Fatalf("round %d: frame b decoded to %d entries, want 77", i, got)
 		}
 	}
-	SetFramePooling(true)
 }
 
 func TestFrameReleaseIsIdempotentPerDecode(t *testing.T) {

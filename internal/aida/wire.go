@@ -75,9 +75,14 @@ func (h *Histogram1D) State() *H1DState {
 	return s
 }
 
-// Restore rebuilds a histogram from state.
+// Restore rebuilds a histogram from state. A state whose binning could
+// not have come from a booked histogram is an error, never a panic:
+// states arrive off the wire.
 func (s *H1DState) Restore() (*Histogram1D, error) {
-	if s.Bins <= 0 || len(s.Data) != s.Bins+2 {
+	if err := CheckAxis(s.Bins, s.Lo, s.Hi); err != nil {
+		return nil, fmt.Errorf("aida: bad H1D state for %q: %w", s.Name, err)
+	}
+	if len(s.Data) != s.Bins+2 {
 		return nil, fmt.Errorf("aida: bad H1D state for %q: %d bins, %d data", s.Name, s.Bins, len(s.Data))
 	}
 	h := NewHistogram1D(s.Name, "", s.Bins, s.Lo, s.Hi)
@@ -128,9 +133,15 @@ func (h *Histogram2D) State() *H2DState {
 	return s
 }
 
-// Restore rebuilds a 2D histogram from state.
+// Restore rebuilds a 2D histogram from state (see H1DState.Restore).
 func (s *H2DState) Restore() (*Histogram2D, error) {
-	if s.NX <= 0 || s.NY <= 0 || len(s.Cells) != (s.NX+2)*(s.NY+2) {
+	if err := CheckAxis(s.NX, s.XLo, s.XHi); err != nil {
+		return nil, fmt.Errorf("aida: bad H2D state for %q: x %w", s.Name, err)
+	}
+	if err := CheckAxis(s.NY, s.YLo, s.YHi); err != nil {
+		return nil, fmt.Errorf("aida: bad H2D state for %q: y %w", s.Name, err)
+	}
+	if len(s.Cells) != (s.NX+2)*(s.NY+2) {
 		return nil, fmt.Errorf("aida: bad H2D state for %q", s.Name)
 	}
 	h := NewHistogram2D(s.Name, "", s.NX, s.XLo, s.XHi, s.NY, s.YLo, s.YHi)
@@ -172,9 +183,12 @@ func (p *Profile1D) State() *P1DState {
 	return s
 }
 
-// Restore rebuilds a profile from state.
+// Restore rebuilds a profile from state (see H1DState.Restore).
 func (s *P1DState) Restore() (*Profile1D, error) {
-	if s.Bins <= 0 || len(s.Data) != s.Bins+2 {
+	if err := CheckAxis(s.Bins, s.Lo, s.Hi); err != nil {
+		return nil, fmt.Errorf("aida: bad P1D state for %q: %w", s.Name, err)
+	}
+	if len(s.Data) != s.Bins+2 {
 		return nil, fmt.Errorf("aida: bad P1D state for %q", s.Name)
 	}
 	p := NewProfile1D(s.Name, "", s.Bins, s.Lo, s.Hi)
@@ -364,21 +378,12 @@ type TreeState struct {
 	// content: decoders accept either frame version, and the flag does
 	// not itself cross the wire.
 	compressWire bool
-	// policy, when set (and compressWire is not forcing), makes the
-	// frame-version choice adaptively per frame from payload size and
-	// the connection's observed compression ratio.
-	policy *CompressionPolicy
 }
 
 // SetWireCompression selects the compressed (version 2) wire frame for
-// this state's gob encoding — the forced per-connection override (WAN
-// workers dialed with compression on). SetCompressionPolicy is the
-// adaptive alternative.
+// this state's gob encoding — the per-connection choice for WAN
+// workers dialed with compression on.
 func (st *TreeState) SetWireCompression(on bool) { st.compressWire = on }
-
-// SetCompressionPolicy hands the frame-version choice to an adaptive
-// per-connection policy (no-op while SetWireCompression forces).
-func (st *TreeState) SetCompressionPolicy(p *CompressionPolicy) { st.policy = p }
 
 // TreeEntry is one object with its full path.
 type TreeEntry struct {
@@ -1106,13 +1111,6 @@ func (st TreeState) GobEncode() ([]byte, error) {
 	if st.compressWire {
 		return encodePooled(func(b []byte) ([]byte, error) { return AppendTreeStateFlate(b, &st) })
 	}
-	if st.policy != nil {
-		return encodePooled(func(b []byte) ([]byte, error) {
-			return appendPolicyFrame(b, st.policy, func(b []byte) ([]byte, error) {
-				return appendEntries(b, st.Entries)
-			})
-		})
-	}
 	return encodePooled(func(b []byte) ([]byte, error) { return AppendTreeState(b, &st) })
 }
 
@@ -1214,17 +1212,10 @@ func (f ObjectFrame) Restore() (Object, error) {
 // encoded, which is the whole point of caching it.
 func (f ObjectFrame) GobEncode() ([]byte, error) { return f, nil }
 
-// GobDecode copies the received frame. With frame pooling on (the
-// default) the copy lands in a recycled buffer from the decode free
-// list — the receiver owns it and hands it back via Release once the
-// frame is restored, making warm poll decodes allocation-free. The
-// unpooled ablation baseline (SetFramePooling(false)) allocates per
-// frame, as before.
+// GobDecode copies the received frame into a recycled buffer from the
+// decode free list — the receiver owns it and hands it back via Release
+// once the frame is restored, making warm poll decodes allocation-free.
 func (f *ObjectFrame) GobDecode(b []byte) error {
-	if !framePooling {
-		*f = append(ObjectFrame(nil), b...)
-		return nil
-	}
 	buf := frameBufs.get(len(b))
 	copy(buf, b)
 	*f = ObjectFrame(buf)

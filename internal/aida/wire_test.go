@@ -10,7 +10,7 @@ import (
 
 // fullTree builds a tree holding one of every object kind, including a
 // converted cloud, so codec tests cover every wire tag.
-func fullTree(t *testing.T) *Tree {
+func fullTree(t testing.TB) *Tree {
 	t.Helper()
 	tr := NewTree()
 	h1, _ := tr.H1D("/a", "h1", "mass", 20, 0, 10)
@@ -375,4 +375,89 @@ func TestEncodedSizeBeatsReflectionGob(t *testing.T) {
 		t.Fatalf("binary frame (%d B) not smaller than reflection gob (%d B)", len(bin), buf.Len())
 	}
 	t.Logf("binary %d B vs gob %d B (%.1fx)", len(bin), buf.Len(), float64(buf.Len())/float64(len(bin)))
+}
+
+// TestRestoreRejectsInvalidAxis: a decoded state whose binning no booked
+// object could have must come back from Restore as an error — never
+// reach NewAxis's panic — for every binned state type.
+func TestRestoreRejectsInvalidAxis(t *testing.T) {
+	type axis struct {
+		bins   int
+		lo, hi float64
+	}
+	bad := map[string]axis{
+		"lo>hi":     {4, 2, 1},
+		"lo=hi":     {4, 1, 1},
+		"lo-NaN":    {4, math.NaN(), 1},
+		"hi-NaN":    {4, 0, math.NaN()},
+		"lo-Inf":    {4, math.Inf(-1), 1},
+		"hi-Inf":    {4, 0, math.Inf(1)},
+		"zero-bins": {0, 0, 1},
+		"neg-bins":  {-3, 0, 1},
+		"too-many":  {MaxBins + 1, 0, 1},
+	}
+	// data sizes the bin arrays to the axis when that is cheap, so the
+	// axis check — not the length check — is what must reject.
+	data := func(bins int) int {
+		if bins < 0 || bins > 64 {
+			return 0
+		}
+		return bins + 2
+	}
+	for name, a := range bad {
+		t.Run("H1D/"+name, func(t *testing.T) {
+			s := &H1DState{Name: "h", Bins: a.bins, Lo: a.lo, Hi: a.hi, Data: make([]BinState, data(a.bins))}
+			if _, err := s.Restore(); err == nil {
+				t.Fatal("restored an invalid axis")
+			}
+		})
+		t.Run("P1D/"+name, func(t *testing.T) {
+			s := &P1DState{Name: "p", Bins: a.bins, Lo: a.lo, Hi: a.hi, Data: make([]ProfBinState, data(a.bins))}
+			if _, err := s.Restore(); err == nil {
+				t.Fatal("restored an invalid axis")
+			}
+		})
+		t.Run("H2D-x/"+name, func(t *testing.T) {
+			s := &H2DState{Name: "h2", NX: a.bins, XLo: a.lo, XHi: a.hi, NY: 2, YLo: 0, YHi: 1,
+				Cells: make([]Bin2State, data(a.bins)*4)}
+			if _, err := s.Restore(); err == nil {
+				t.Fatal("restored an invalid x axis")
+			}
+		})
+		t.Run("H2D-y/"+name, func(t *testing.T) {
+			s := &H2DState{Name: "h2", NX: 2, XLo: 0, XHi: 1, NY: a.bins, YLo: a.lo, YHi: a.hi,
+				Cells: make([]Bin2State, 4*data(a.bins))}
+			if _, err := s.Restore(); err == nil {
+				t.Fatal("restored an invalid y axis")
+			}
+		})
+	}
+}
+
+// FuzzObjectFrameRestore feeds arbitrary bytes through the poll-frame
+// decoder and Restore — the path every merge manager runs on publish
+// payloads from the network. Neither may panic; garbage must come back
+// as an error. Seeds: a valid frame of every object kind (added here)
+// plus the invalid-binning and truncation cases committed under
+// testdata/fuzz.
+func FuzzObjectFrameRestore(f *testing.F) {
+	tr := fullTree(f)
+	tr.Walk(func(_ string, obj Object) {
+		st, err := StateOf(obj)
+		if err != nil {
+			f.Fatal(err)
+		}
+		frame, err := EncodeObjectFrame(&st)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add([]byte(frame))
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := DecodeObjectFrame(data)
+		if err != nil {
+			return
+		}
+		st.Restore()
+	})
 }

@@ -9,8 +9,7 @@
 // applied by the same Publish path with the same seq/NeedFull
 // semantics, and per-item failures come back per item, so one bad
 // delta cannot poison its batch-mates — the equivalence batch_test.go
-// pins down. BatcherOptions.Disabled preserves the one-call-per-
-// publish path as the ablation baseline (A13).
+// pins down.
 package merge
 
 import (
@@ -74,8 +73,6 @@ func (p *RemotePublisher) PublishBatch(args PublishBatchArgs, reply *PublishBatc
 		for i := range args.Items {
 			if args.Items[i].Delta != nil {
 				args.Items[i].Delta.SetWireCompression(true)
-			} else {
-				args.Items[i].Tree.SetWireCompression(true)
 			}
 		}
 	}
@@ -100,9 +97,6 @@ type BatcherOptions struct {
 	// MaxBatch caps items per shipped batch (default 64); excess stays
 	// queued for the next send.
 	MaxBatch int
-	// Disabled bypasses coalescing entirely — every Publish goes
-	// straight upstream as its own call, the retained ablation baseline.
-	Disabled bool
 }
 
 // batchWaiter is one queued publish and its caller's rendezvous.
@@ -148,9 +142,6 @@ func NewBatcher(upstream BatchPublisher, opt BatcherOptions) *Batcher {
 // Publish implements Publisher: queue, wait for the batch carrying
 // this item to be acked, surface this item's own result.
 func (b *Batcher) Publish(args PublishArgs, reply *PublishReply) error {
-	if b.opt.Disabled {
-		return b.upstream.Publish(args, reply)
-	}
 	w := &batchWaiter{args: args, reply: reply, done: make(chan error, 1)}
 	b.mu.Lock()
 	if b.closed {

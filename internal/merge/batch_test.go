@@ -3,7 +3,7 @@
 // same seq/NeedFull state machine, same per-item errors — between
 // coalesced and one-call-per-publish runs, including under injected
 // upstream faults, plus the Batcher's own mechanics (MaxBatch early
-// ship, Window accumulation, Disabled passthrough, Close).
+// ship, Window accumulation, Close).
 package merge
 
 import (
@@ -354,21 +354,6 @@ func TestBatcherTransportFailureFailsAllItems(t *testing.T) {
 		if !errors.Is(err, boom) {
 			t.Fatalf("item %d error = %v, want transport failure", i, err)
 		}
-	}
-}
-
-func TestBatcherDisabledIsPassthrough(t *testing.T) {
-	up := newFaultyUpstream(0, 0)
-	b := NewBatcher(up, BatcherOptions{Disabled: true})
-	driveSessions(t, b, 3, 5, true)
-	b.Close()
-	up.mu.Lock()
-	defer up.mu.Unlock()
-	if up.batches != 0 {
-		t.Fatalf("disabled batcher still shipped %d batches", up.batches)
-	}
-	if up.pubs != 15 {
-		t.Fatalf("disabled batcher forwarded %d publishes, want 15", up.pubs)
 	}
 }
 

@@ -9,19 +9,21 @@ import (
 	"github.com/ipa-grid/ipa/internal/aida"
 )
 
-// simWorker models one engine publishing to two managers at once: deltas
-// to the manager under test and full snapshots to the reference manager
-// running the legacy rebuild path.
+// simWorker models one engine publishing deltas to the manager under
+// test while remembering the whole tree it held at its latest publish,
+// from which the reference state is rebuilt.
 type simWorker struct {
 	id       string
 	tree     *aida.Tree
 	seq      int64
 	needFull bool
+	// published is the worker's full tree as of its latest publish.
+	published *aida.TreeState
 	// replay holds a previously sent delta for out-of-order retries.
 	replay *PublishArgs
 }
 
-func (w *simWorker) publishBoth(t *testing.T, delta, full *Manager) {
+func (w *simWorker) publish(t *testing.T, m *Manager) {
 	t.Helper()
 	w.seq++
 	var d *aida.DeltaState
@@ -36,21 +38,36 @@ func (w *simWorker) publishBoth(t *testing.T, delta, full *Manager) {
 	}
 	args := PublishArgs{SessionID: "s", WorkerID: w.id, Seq: w.seq, Delta: d}
 	var rep PublishReply
-	if err := delta.Publish(args, &rep); err != nil {
+	if err := m.Publish(args, &rep); err != nil {
 		t.Fatal(err)
 	}
 	w.needFull = rep.NeedFull
 	if rep.Accepted {
 		w.replay = &args
 	}
+	if w.published, err = w.tree.State(); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	st, err := w.tree.State()
-	if err != nil {
+// rebuiltEntries is the reference state: a fresh manager imports every
+// worker's latest full tree — Import rebuilds the merged tree from
+// scratch, merging workers in sorted-ID order — and a full poll reads
+// it back.
+func rebuiltEntries(t *testing.T, workers []*simWorker) map[string]aida.ObjectState {
+	t.Helper()
+	args := ImportArgs{SessionID: "s"}
+	for _, w := range workers {
+		if w.published != nil {
+			args.Workers = append(args.Workers, WorkerSnapshot{WorkerID: w.id, Seq: w.seq, HasTree: true, Tree: *w.published})
+		}
+	}
+	ref := NewManager()
+	var rep ImportReply
+	if err := ref.Import(args, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if err := full.Publish(PublishArgs{SessionID: "s", WorkerID: w.id, Seq: w.seq, Tree: *st}, &rep); err != nil {
-		t.Fatal(err)
-	}
+	return pollEntries(t, ref)
 }
 
 // pollEntries returns the full merged state keyed by path.
@@ -72,16 +89,15 @@ func pollEntries(t *testing.T, m *Manager) map[string]aida.ObjectState {
 }
 
 // TestDeltaMergeMatchesFullRemerge drives randomized publish / rewind /
-// out-of-order sequences through a delta-fed manager and a reference
-// manager fed full snapshots, asserting the merged state stays
-// bin-for-bin identical throughout.
+// out-of-order sequences through a delta-fed manager, asserting its
+// merged state stays bin-for-bin identical to a full rebuild from every
+// worker's latest tree throughout.
 func TestDeltaMergeMatchesFullRemerge(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			deltaMgr := NewManager()
-			fullMgr := NewManager()
 			workers := make([]*simWorker, 3)
 			for i := range workers {
 				workers[i] = &simWorker{id: fmt.Sprintf("w%d", i), tree: aida.NewTree()}
@@ -119,13 +135,13 @@ func TestDeltaMergeMatchesFullRemerge(t *testing.T) {
 				switch op := rng.Intn(10); {
 				case op < 6: // fill + publish
 					fill(w)
-					w.publishBoth(t, deltaMgr, fullMgr)
+					w.publish(t, deltaMgr)
 				case op < 8: // fill without publishing (accumulate)
 					fill(w)
 				case op == 8: // rewind: fresh tree, full baseline next
 					w.tree = aida.NewTree()
 					fill(w)
-					w.publishBoth(t, deltaMgr, fullMgr)
+					w.publish(t, deltaMgr)
 				default: // out-of-order retry of an already-applied publish
 					if w.replay != nil {
 						var rep PublishReply
@@ -141,13 +157,13 @@ func TestDeltaMergeMatchesFullRemerge(t *testing.T) {
 					}
 				}
 				if step%20 == 19 {
-					got, want := pollEntries(t, deltaMgr), pollEntries(t, fullMgr)
+					got, want := pollEntries(t, deltaMgr), rebuiltEntries(t, workers)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("step %d: delta-merged state diverged\n got: %v\nwant: %v", step, keys(got), keys(want))
 					}
 				}
 			}
-			got, want := pollEntries(t, deltaMgr), pollEntries(t, fullMgr)
+			got, want := pollEntries(t, deltaMgr), rebuiltEntries(t, workers)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("final state diverged:\n got %v\nwant %v", keys(got), keys(want))
 			}

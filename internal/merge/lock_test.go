@@ -112,90 +112,87 @@ func entryCounts(t *testing.T, m *Manager, sid string) map[string]int64 {
 // equals a sequentially-built reference.
 func TestConcurrentPublishPollEquivalence(t *testing.T) {
 	const sessions, workers, rounds, objects, pollers = 4, 3, 40, 6, 2
-	for _, coarse := range []bool{false, true} {
-		t.Run(fmt.Sprintf("coarse=%v", coarse), func(t *testing.T) {
-			m := NewManager()
-			m.CoarseLocking = coarse
-			var pubWGs []*sync.WaitGroup
-			for s := 0; s < sessions; s++ {
-				pubWGs = append(pubWGs, lockTestPublish(t, m, fmt.Sprintf("sess-%d", s), workers, rounds, objects))
-			}
-			var done atomic.Bool
-			var pollWG sync.WaitGroup
-			for s := 0; s < sessions; s++ {
-				sid := fmt.Sprintf("sess-%d", s)
-				for p := 0; p < pollers; p++ {
-					pollWG.Add(1)
-					go func() {
-						defer pollWG.Done()
-						var since int64
-						for !done.Load() {
-							var reply PollReply
-							if err := m.Poll(PollArgs{SessionID: sid, SinceVersion: since}, &reply); err != nil {
-								t.Error(err)
-								return
-							}
-							if reply.Version < since {
-								t.Errorf("poll version regressed %d → %d", since, reply.Version)
-								return
-							}
-							// Quiescent re-poll at the version just served:
-							// the fast path must not report that version as
-							// carrying anything new.
-							var again PollReply
-							if err := m.Poll(PollArgs{SessionID: sid, SinceVersion: reply.Version}, &again); err != nil {
-								t.Error(err)
-								return
-							}
-							if again.Version == reply.Version && again.Changed {
-								t.Errorf("version %d served entries on a quiescent re-poll", reply.Version)
-								return
-							}
-							since = reply.Version
+	// The subtest keeps the name it had when a coarse-locking mode
+	// existed beside the fine-grained one.
+	t.Run("coarse=false", func(t *testing.T) {
+		m := NewManager()
+		var pubWGs []*sync.WaitGroup
+		for s := 0; s < sessions; s++ {
+			pubWGs = append(pubWGs, lockTestPublish(t, m, fmt.Sprintf("sess-%d", s), workers, rounds, objects))
+		}
+		var done atomic.Bool
+		var pollWG sync.WaitGroup
+		for s := 0; s < sessions; s++ {
+			sid := fmt.Sprintf("sess-%d", s)
+			for p := 0; p < pollers; p++ {
+				pollWG.Add(1)
+				go func() {
+					defer pollWG.Done()
+					var since int64
+					for !done.Load() {
+						var reply PollReply
+						if err := m.Poll(PollArgs{SessionID: sid, SinceVersion: since}, &reply); err != nil {
+							t.Error(err)
+							return
 						}
-					}()
-				}
-			}
-			for _, wg := range pubWGs {
-				wg.Wait()
-			}
-			done.Store(true)
-			pollWG.Wait()
-			if t.Failed() {
-				return
-			}
-			for s := 0; s < sessions; s++ {
-				sid := fmt.Sprintf("sess-%d", s)
-				ref := lockTestReference(t, sid, workers, rounds, objects)
-				got, want := entryCounts(t, m, sid), entryCounts(t, ref, sid)
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d merged paths, want %d", sid, len(got), len(want))
-				}
-				for path, n := range want {
-					if got[path] != n {
-						t.Fatalf("%s %s: %d entries, want %d", sid, path, got[path], n)
+						if reply.Version < since {
+							t.Errorf("poll version regressed %d → %d", since, reply.Version)
+							return
+						}
+						// Quiescent re-poll at the version just served:
+						// the fast path must not report that version as
+						// carrying anything new.
+						var again PollReply
+						if err := m.Poll(PollArgs{SessionID: sid, SinceVersion: reply.Version}, &again); err != nil {
+							t.Error(err)
+							return
+						}
+						if again.Version == reply.Version && again.Changed {
+							t.Errorf("version %d served entries on a quiescent re-poll", reply.Version)
+							return
+						}
+						since = reply.Version
 					}
+				}()
+			}
+		}
+		for _, wg := range pubWGs {
+			wg.Wait()
+		}
+		done.Store(true)
+		pollWG.Wait()
+		if t.Failed() {
+			return
+		}
+		for s := 0; s < sessions; s++ {
+			sid := fmt.Sprintf("sess-%d", s)
+			ref := lockTestReference(t, sid, workers, rounds, objects)
+			got, want := entryCounts(t, m, sid), entryCounts(t, ref, sid)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d merged paths, want %d", sid, len(got), len(want))
+			}
+			for path, n := range want {
+				if got[path] != n {
+					t.Fatalf("%s %s: %d entries, want %d", sid, path, got[path], n)
 				}
 			}
-			if !coarse {
-				// Deterministically exercise the lock-free path now that
-				// the session is quiescent: a poll at the current version
-				// must be answered by it.
-				before := m.FastPolls("sess-0")
-				cur := m.Version("sess-0")
-				var reply PollReply
-				if err := m.Poll(PollArgs{SessionID: "sess-0", SinceVersion: cur}, &reply); err != nil {
-					t.Fatal(err)
-				}
-				if reply.Version != cur || reply.Changed {
-					t.Fatalf("quiescent poll = %+v, want unchanged at %d", reply, cur)
-				}
-				if got := m.FastPolls("sess-0"); got != before+1 {
-					t.Fatalf("fast polls %d → %d: quiescent poll missed the lock-free path", before, got)
-				}
-			}
-		})
-	}
+		}
+		// Deterministically exercise the lock-free path now that the
+		// session is quiescent: a poll at the current version must be
+		// answered by it.
+		before := m.FastPolls("sess-0")
+		cur := m.Version("sess-0")
+		var reply PollReply
+		if err := m.Poll(PollArgs{SessionID: "sess-0", SinceVersion: cur}, &reply); err != nil {
+			t.Fatal(err)
+		}
+		if reply.Version != cur || reply.Changed {
+			t.Fatalf("quiescent poll = %+v, want unchanged at %d", reply, cur)
+		}
+		if got := m.FastPolls("sess-0"); got != before+1 {
+			t.Fatalf("fast polls %d → %d: quiescent poll missed the lock-free path", before, got)
+		}
+	})
 }
 
 // TestReadPathsNeverBlockBehindWriteLock pins the satellite guarantee:

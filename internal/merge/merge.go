@@ -4,8 +4,8 @@
 // separate plug-in on the JAS client constantly polls the AIDA manager
 // ... to check for any updated histograms."
 //
-// Engines publish snapshots tagged with a sequence number. The preferred
-// form is a delta (PublishArgs.Delta): only the objects touched since the
+// Engines publish snapshots tagged with a sequence number. Every snapshot
+// is a delta (PublishArgs.Delta): only the objects touched since the
 // worker's previous snapshot plus removed paths. Deltas apply additively —
 // the manager patches the worker's retained tree and re-merges just the
 // touched paths into the persistent merged tree, so publish cost is
@@ -14,37 +14,31 @@
 // answers NeedFull and the engine re-baselines with a full delta, which is
 // also how first publishes and rewinds work.
 //
-// The legacy whole-tree form (PublishArgs.Tree) is retained as the
-// ablation baseline: such snapshots mark the session dirty and the merged
-// tree is rebuilt from every worker tree at the next poll.
-//
 // Clients poll with their last-seen version and receive either nothing
 // (unchanged) or the updated objects — incremental polling is what makes
 // sub-minute feedback affordable (ablation A4). Changed objects are
 // served as pre-encoded wire frames from a per-session cache keyed by
-// (path, version), so N polling clients share one encode per change
-// (ablation A7). For large worker counts a SubMerger aggregates a group
-// of workers and republishes upward as one pseudo-worker, the §2.5
-// "sub-level of components" scalability design (ablation A2); it
-// forwards touched-only deltas through the snapshot Transport (ablation
-// A6), so the hierarchy composes with the incremental pipeline.
+// (path, version), so N polling clients share one encode per change.
+// For large worker counts a SubMerger aggregates a group of workers and
+// republishes upward as one pseudo-worker, the §2.5 "sub-level of
+// components" scalability design (ablation A2); it forwards
+// touched-only deltas through the snapshot Transport, so the hierarchy
+// composes with the incremental pipeline.
 //
-// Concurrency (ablation A10): sessions live in a lock-free table and
-// each carries its own RWMutex, so publishes and polls of unrelated
-// sessions never contend. Within a session, N polling clients read the
-// merged tree and the encoded-frame cache under RLock while only
-// publishes take the write lock; and a quiescent poll — the client's
-// SinceVersion equals the current version, the overwhelmingly common
-// case for interactive clients — is answered from one atomic snapshot
-// without taking any lock at all. CoarseLocking restores the old
-// one-mutex-per-manager behavior as the ablation baseline.
+// Concurrency: sessions live in a lock-free table and each carries its
+// own RWMutex, so publishes and polls of unrelated sessions never
+// contend. Within a session, N polling clients read the merged tree and
+// the encoded-frame cache under RLock while only publishes take the
+// write lock; and a quiescent poll — the client's SinceVersion equals
+// the current version, the overwhelmingly common case for interactive
+// clients — is answered from one atomic snapshot without taking any
+// lock at all.
 //
 // The exported method signatures are RMI-compatible (args/reply structs),
 // so a Manager registers directly on an rmi.Server.
 package merge
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -82,12 +76,9 @@ type PublishArgs struct {
 	// Seq orders snapshots from one worker; stale ones are dropped and
 	// non-consecutive deltas trigger a NeedFull resync.
 	Seq int64
-	// Delta is the incremental snapshot (preferred). When non-nil, Tree
-	// is ignored.
+	// Delta is the snapshot: the objects touched since the worker's
+	// previous one, or its whole state when Delta.Full is set. Required.
 	Delta *aida.DeltaState
-	// Tree is the worker's full current result state (legacy/ablation
-	// baseline path).
-	Tree aida.TreeState
 	// EventsDone / EventsTotal drive the client progress display.
 	EventsDone  int64
 	EventsTotal int64
@@ -302,9 +293,6 @@ type sessionState struct {
 	// objVersion) plus explicit deletes on removal. A sync.Map because
 	// concurrent RLock-holding polls insert misses into it.
 	frames sync.Map // path → cachedFrame
-	// dirty marks pending legacy full-tree publishes; remerge() clears
-	// it by rebuilding merged from every worker tree.
-	dirty bool
 	// changeLog is the per-version change index: for every version since
 	// indexedSince, the merged paths stamped at it. Incremental polls
 	// whose SinceVersion is covered walk only these paths instead of the
@@ -339,20 +327,11 @@ const maxLogLines = 1000
 // Manager is the root AIDA manager. Safe for concurrent use; see the
 // package comment for the locking model.
 type Manager struct {
-	// DisableEncodeCache makes every poll re-encode every included
-	// object — retained as the A7 ablation baseline.
-	DisableEncodeCache bool
 	// DisableChangeIndex makes every incremental poll walk the whole
-	// merged tree — the pre-index behavior, retained as an ablation
-	// baseline.
+	// merged tree — the pre-index behavior, kept as the reference the
+	// change-index tests compare against.
 	DisableChangeIndex bool
-	// CoarseLocking serializes every call — all sessions, publishes and
-	// polls alike — on one manager-wide mutex and disables the lock-free
-	// poll fast path: the pre-A10 behavior, retained as the ablation
-	// baseline. Set before first use.
-	CoarseLocking bool
 
-	coarseMu sync.Mutex
 	sessions sync.Map // sessionID → *sessionState
 
 	// wal, when attached via SetWAL, logs every state-changing call for
@@ -363,17 +342,6 @@ type Manager struct {
 
 // NewManager creates an empty manager.
 func NewManager() *Manager { return &Manager{} }
-
-// lockCoarse takes the manager-wide mutex in the CoarseLocking ablation
-// mode and returns the matching unlock; a no-op otherwise. Usage:
-// defer m.lockCoarse()().
-func (m *Manager) lockCoarse() func() {
-	if !m.CoarseLocking {
-		return func() {}
-	}
-	m.coarseMu.Lock()
-	return m.coarseMu.Unlock
-}
 
 // sessionEpoch seeds session incarnation stamps: the process start
 // time in nanoseconds plus one per session created. Unique within a
@@ -534,8 +502,8 @@ func (s *sessionState) recordChange(path string) {
 	s.changeLog = append([]versionChanges(nil), s.changeLog[drop:]...)
 }
 
-// invalidateChangeIndex empties the index after a bulk restamp (legacy
-// remerge, reset, session import); it refills from the next delta.
+// invalidateChangeIndex empties the index after a bulk restamp (rebuild,
+// reset, session import); it refills from the next delta.
 func (s *sessionState) invalidateChangeIndex() {
 	s.changeLog = nil
 	s.indexLen = 0
@@ -574,64 +542,6 @@ func (s *sessionState) appendLog(text string) {
 	}
 }
 
-// Publish ingests a worker snapshot (RMI-compatible). Delta snapshots
-// apply immediately; legacy whole-tree snapshots defer the rebuild to the
-// next poll.
-func (m *Manager) Publish(args PublishArgs, reply *PublishReply) error {
-	if args.SessionID == "" || args.WorkerID == "" {
-		return fmt.Errorf("merge: session and worker IDs required")
-	}
-	defer m.lockCoarse()()
-	if args.Delta != nil {
-		return m.publishDelta(args, reply)
-	}
-	t0 := obs.Now()
-	defer obsPublishSeconds.ObserveSince(t0)
-	tree, err := args.Tree.Restore()
-	if err != nil {
-		return fmt.Errorf("merge: bad snapshot from %s: %w", args.WorkerID, err)
-	}
-	s := m.session(args.SessionID)
-	s.publishes.Add(1)
-	obsPublishes.Inc()
-	s.pubWaiting.Add(1)
-	obsPubWaiting.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.pubWaiting.Add(-1)
-	defer obsPubWaiting.Add(-1)
-	defer s.reportPressure(reply)
-	reply.Epoch = s.epoch.Load()
-	if s.sealed.Load() || s.fenced() {
-		// Mid-handoff (or a deposed post-failover copy): refusing with
-		// NeedFull makes the producer re-baseline — by the time it does,
-		// routing has flipped and the baseline lands on the live owner.
-		reply.Accepted, reply.NeedFull = false, true
-		reply.Version = s.version
-		return nil
-	}
-	w := s.worker(args.WorkerID)
-	if args.Seq <= w.seq && args.Seq != 0 {
-		// Stale or duplicate snapshot (out-of-order RMI retry): ignore.
-		reply.Accepted = false
-		reply.Version = s.version
-		return nil
-	}
-	w.seq = args.Seq
-	w.tree = tree
-	w.pending = nil
-	w.done = args.EventsDone
-	w.total = args.EventsTotal
-	s.version++
-	s.dirty = true
-	s.appendLog(args.Log)
-	s.commitLocked()
-	s.recordTrace(args.Trace, t0)
-	reply.Accepted = true
-	reply.Version = s.version
-	return m.walAppend(&walRecord{Kind: walPublish, Publish: &args})
-}
-
 // recordTrace notes an accepted traced write on this state: the trace
 // ID becomes observable via Stats, and the apply is recorded as a span
 // (also covering in-process calls that never crossed RMI). Caller
@@ -646,10 +556,16 @@ func (s *sessionState) recordTrace(t obs.TraceContext, t0 time.Time) {
 	}
 }
 
-// publishDelta applies an incremental snapshot: patch the worker's
-// retained tree, then re-merge only the touched paths.
-func (m *Manager) publishDelta(args PublishArgs, reply *PublishReply) error {
+// Publish ingests a worker delta snapshot (RMI-compatible): patch the
+// worker's retained tree, then re-merge only the touched paths.
+func (m *Manager) Publish(args PublishArgs, reply *PublishReply) error {
+	if args.SessionID == "" || args.WorkerID == "" {
+		return fmt.Errorf("merge: session and worker IDs required")
+	}
 	d := args.Delta
+	if d == nil {
+		return fmt.Errorf("merge: publish from %s carries no delta", args.WorkerID)
+	}
 	// Restore all payload objects before locking anything so a corrupt
 	// delta is rejected atomically and decode cost stays outside the
 	// critical section.
@@ -676,8 +592,9 @@ func (m *Manager) publishDelta(args PublishArgs, reply *PublishReply) error {
 	reply.Version = s.version
 	reply.Epoch = s.epoch.Load()
 	if s.sealed.Load() || s.fenced() {
-		// See Publish: frozen for handoff (or fenced after failover),
-		// ask for a re-baseline.
+		// Mid-handoff (or a deposed post-failover copy): refusing with
+		// NeedFull makes the producer re-baseline — by the time it does,
+		// routing has flipped and the baseline lands on the live owner.
 		reply.Accepted, reply.NeedFull = false, true
 		return nil
 	}
@@ -711,11 +628,6 @@ func (m *Manager) publishDelta(args PublishArgs, reply *PublishReply) error {
 		// Stale baseline (out-of-order retry of an old full snapshot).
 		reply.Accepted = false
 		return nil
-	}
-	// Flush any pending legacy rebuild first so per-path recomputes start
-	// from a consistent merged tree.
-	if err := s.remerge(); err != nil {
-		return err
 	}
 	touched := make([]string, 0, len(d.Entries)+len(d.Removed))
 	if d.Full {
@@ -770,7 +682,7 @@ func (m *Manager) publishDelta(args PublishArgs, reply *PublishReply) error {
 // recomputePath rebuilds the merged object at path from every worker's
 // contribution and stamps it with the current version. Workers merge in
 // sorted-ID order so results are deterministic and identical to a full
-// remerge. The merged tree only ever receives freshly-built objects
+// rebuild. The merged tree only ever receives freshly-built objects
 // here — existing entries are replaced, never mutated — which is what
 // lets polls read them under RLock. Caller holds s.mu.
 func (s *sessionState) recomputePath(path string) error {
@@ -817,14 +729,12 @@ func (s *sessionState) recomputePath(path string) error {
 	return nil
 }
 
-// remerge rebuilds the merged tree from worker snapshots and stamps
-// changed objects with the current version — the legacy full-snapshot
-// path, kept as the ablation baseline. Caller holds s.mu.
-func (s *sessionState) remerge() error {
-	if !s.dirty {
-		return nil
-	}
-	prev := s.merged
+// rebuild replaces the merged tree with a fresh merge of every worker
+// tree and stamps each merged path at the current version; paths the
+// old merged tree held that the rebuild lacks become removals. Import
+// and Promote call it after installing new worker trees. Caller holds
+// s.mu for writing.
+func (s *sessionState) rebuild() error {
 	next := aida.NewTree()
 	for _, id := range s.workerIDs {
 		if w := s.workers[id]; w.tree != nil {
@@ -833,73 +743,22 @@ func (s *sessionState) remerge() error {
 			}
 		}
 	}
-	// Stamp changes: any object whose serialized content differs from the
-	// previous merged tree gets the current version.
-	seen := map[string]bool{}
-	var firstErr error
-	next.Walk(func(path string, obj aida.Object) {
-		if firstErr != nil {
-			return
-		}
-		seen[path] = true
-		prevObj := prev.Get(path)
-		if prevObj == nil || !objectsEqual(prevObj, obj) {
-			s.objVersion[path] = s.version
-			delete(s.gone, path)
-		}
-	})
-	prev.Walk(func(path string, obj aida.Object) {
-		if !seen[path] {
+	s.merged.Walk(func(path string, _ aida.Object) {
+		if next.Get(path) == nil {
 			s.gone[path] = s.version
 			delete(s.objVersion, path)
 			s.frames.Delete(path)
 		}
 	})
+	next.Walk(func(path string, _ aida.Object) {
+		s.objVersion[path] = s.version
+		delete(s.gone, path)
+	})
 	s.merged = next
-	s.dirty = false
-	// The walk above restamped objVersion directly; the index no longer
-	// covers those changes, so polls fall back to full walks until new
-	// deltas refill it.
+	// Every path was restamped at once; polls fall back to full walks
+	// until new deltas refill the index.
 	s.invalidateChangeIndex()
-	return firstErr
-}
-
-// objectsEqual compares two objects through their serialized wire states
-// (structural equality, not pointer identity). Only the legacy
-// full-snapshot path pays this cost; delta publishes stamp versions from
-// the delta's path list instead.
-func objectsEqual(a, b aida.Object) bool {
-	sa, errA := aida.StateOf(a)
-	sb, errB := aida.StateOf(b)
-	if errA != nil || errB != nil {
-		return false
-	}
-	ba, errA := aida.AppendObjectState(nil, &sa)
-	bb, errB := aida.AppendObjectState(nil, &sb)
-	if errA != nil || errB != nil {
-		return false
-	}
-	return bytes.Equal(ba, bb)
-}
-
-// rlockClean acquires the session read lock with no legacy rebuild
-// pending: if a full-tree publish left the session dirty, it briefly
-// upgrades to the write lock to remerge, then re-checks. On success the
-// read lock is held.
-func (s *sessionState) rlockClean() error {
-	for {
-		s.mu.RLock()
-		if !s.dirty {
-			return nil
-		}
-		s.mu.RUnlock()
-		s.mu.Lock()
-		err := s.remerge()
-		s.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
+	return nil
 }
 
 // Poll returns merged updates since the client's version
@@ -910,7 +769,6 @@ func (s *sessionState) rlockClean() error {
 func (m *Manager) Poll(args PollArgs, reply *PollReply) error {
 	t0 := obs.Now()
 	defer obsPollSeconds.ObserveSince(t0)
-	defer m.lockCoarse()()
 	s := m.lookup(args.SessionID)
 	if s == nil {
 		return nil
@@ -926,7 +784,7 @@ func (m *Manager) Poll(args PollArgs, reply *PollReply) error {
 		// resolution, where it finds the promoted owner.
 		return nil
 	}
-	if !args.Full && !m.CoarseLocking {
+	if !args.Full {
 		// Lock-free fast path: nothing changed since the client's last
 		// poll. The snapshot pointer is stored only after a write
 		// section completes, so the version it reports never runs ahead
@@ -941,9 +799,7 @@ func (m *Manager) Poll(args PollArgs, reply *PollReply) error {
 			return nil
 		}
 	}
-	if err := s.rlockClean(); err != nil {
-		return err
-	}
+	s.mu.RLock()
 	defer s.mu.RUnlock()
 	reply.Version = s.version
 	reply.Epoch = s.epoch.Load()
@@ -959,14 +815,12 @@ func (m *Manager) Poll(args PollArgs, reply *PollReply) error {
 			return
 		}
 		ver := s.objVersion[path]
-		if !m.DisableEncodeCache {
-			if v, ok := s.frames.Load(path); ok {
-				if cf := v.(cachedFrame); cf.version == ver {
-					s.cacheHits.Add(1)
-					obsCacheHits.Inc()
-					reply.Entries = append(reply.Entries, PollEntry{Path: path, Frame: cf.frame})
-					return
-				}
+		if v, ok := s.frames.Load(path); ok {
+			if cf := v.(cachedFrame); cf.version == ver {
+				s.cacheHits.Add(1)
+				obsCacheHits.Inc()
+				reply.Entries = append(reply.Entries, PollEntry{Path: path, Frame: cf.frame})
+				return
 			}
 		}
 		st, err := aida.StateOf(obj)
@@ -981,12 +835,10 @@ func (m *Manager) Poll(args PollArgs, reply *PollReply) error {
 		}
 		s.cacheMisses.Add(1)
 		obsCacheMisses.Inc()
-		if !m.DisableEncodeCache {
-			// Concurrent pollers may both miss and store; the entries are
-			// identical for a given (path, version), so last-write-wins
-			// is fine.
-			s.frames.Store(path, cachedFrame{version: ver, frame: frame})
-		}
+		// Concurrent pollers may both miss and store; the entries are
+		// identical for a given (path, version), so last-write-wins is
+		// fine.
+		s.frames.Store(path, cachedFrame{version: ver, frame: frame})
 		reply.Entries = append(reply.Entries, PollEntry{Path: path, Frame: frame})
 	}
 	if !args.Full && args.SinceVersion > 0 && args.SinceVersion >= s.indexedSince && !m.DisableChangeIndex {
@@ -1042,7 +894,6 @@ var ErrSealed = errors.New("merge: session sealed for shard handoff; retry")
 // Reset drops all worker snapshots for a session — issued on rewind so the
 // next run starts from empty histograms (RMI-compatible).
 func (m *Manager) Reset(args ResetArgs, reply *ResetReply) error {
-	defer m.lockCoarse()()
 	s := m.lookup(args.SessionID)
 	if s == nil {
 		return nil
@@ -1062,7 +913,6 @@ func (m *Manager) Reset(args ResetArgs, reply *ResetReply) error {
 	s.merged = aida.NewTree()
 	s.clearFrames()
 	s.logs = nil
-	s.dirty = false
 	s.invalidateChangeIndex()
 	s.commitLocked()
 	reply.Version = s.version
@@ -1073,7 +923,6 @@ func (m *Manager) Reset(args ResetArgs, reply *ResetReply) error {
 // unknown sessions) — the generation stamp clients poll against. Served
 // from the atomic snapshot; never blocks behind a publish.
 func (m *Manager) Version(sessionID string) int64 {
-	defer m.lockCoarse()()
 	if s := m.lookup(sessionID); s != nil {
 		return s.pub.Load().version
 	}
@@ -1085,7 +934,6 @@ func (m *Manager) Version(sessionID string) int64 {
 // fresh encodes (including every first-touch encode after a change).
 // Lock-free.
 func (m *Manager) CacheStats(sessionID string) (hits, misses int64) {
-	defer m.lockCoarse()()
 	if s := m.lookup(sessionID); s != nil {
 		return s.cacheHits.Load(), s.cacheMisses.Load()
 	}
@@ -1094,7 +942,6 @@ func (m *Manager) CacheStats(sessionID string) (hits, misses int64) {
 
 // Drop removes a session entirely (teardown).
 func (m *Manager) Drop(sessionID string) {
-	defer m.lockCoarse()()
 	if _, ok := m.sessions.LoadAndDelete(sessionID); ok {
 		m.walAppend(&walRecord{Kind: walDrop, Session: sessionID})
 	}
@@ -1103,16 +950,12 @@ func (m *Manager) Drop(sessionID string) {
 // MergedTree returns a deep copy of the current merged tree (manager-side
 // consumers like XML export). Unknown sessions yield an empty tree.
 func (m *Manager) MergedTree(sessionID string) (*aida.Tree, int64, error) {
-	defer m.lockCoarse()()
 	s := m.lookup(sessionID)
 	if s == nil {
 		return aida.NewTree(), 0, nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.remerge(); err != nil {
-		return nil, 0, err
-	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	cp, err := s.merged.Clone()
 	return cp, s.version, err
 }
@@ -1139,7 +982,6 @@ type FlushState struct {
 // in the merged tree after since. Unknown sessions yield an empty
 // snapshot.
 func (m *Manager) FlushState(sessionID string, since, logSince int64) (FlushState, error) {
-	defer m.lockCoarse()()
 	fs := FlushState{Delta: &aida.DeltaState{Full: since == 0}}
 	s := m.lookup(sessionID)
 	if s == nil {
@@ -1147,9 +989,6 @@ func (m *Manager) FlushState(sessionID string, since, logSince int64) (FlushStat
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.remerge(); err != nil {
-		return fs, err
-	}
 	d := int(s.pubWaiting.Load())
 	if dd := s.drainDownstream(); dd > d {
 		d = dd
@@ -1263,16 +1102,12 @@ type ExportReply struct {
 // atomically frozen in the same locked section, so no publish can slip
 // between the dump and the freeze.
 func (m *Manager) Export(args ExportArgs, reply *ExportReply) error {
-	defer m.lockCoarse()()
 	s := m.lookup(args.SessionID)
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.remerge(); err != nil {
-		return err
-	}
 	for _, id := range s.workerIDs {
 		// A mirror-fed copy's stored delta tails must fold into the
 		// worker trees so the dump is complete.
@@ -1353,7 +1188,6 @@ func (m *Manager) Import(args ImportArgs, reply *ImportReply) error {
 		}
 		trees[i] = tree
 	}
-	defer m.lockCoarse()()
 	s := m.session(args.SessionID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1385,11 +1219,9 @@ func (m *Manager) Import(args ImportArgs, reply *ImportReply) error {
 		w.seq, w.done, w.total = ws.Seq, ws.Done, ws.Total
 		w.tree = trees[i]
 	}
-	// Rebuild merged from the imported workers; remerge stamps every
-	// path at the (imported) current version and resets the change
-	// index.
-	s.dirty = true
-	if err := s.remerge(); err != nil {
+	// Rebuild merged from the imported workers, stamping every path at
+	// the (imported) current version and resetting the change index.
+	if err := s.rebuild(); err != nil {
 		return err
 	}
 	for _, rp := range args.Removed {
@@ -1445,7 +1277,6 @@ type StatsReply struct {
 // Served entirely from atomics, so a fault-detection probe never blocks
 // behind a long publish holding the session write lock.
 func (m *Manager) Stats(args StatsArgs, reply *StatsReply) error {
-	defer m.lockCoarse()()
 	s := m.lookup(args.SessionID)
 	if s == nil {
 		return nil
@@ -1482,7 +1313,6 @@ type SealReply struct {
 // (RMI-compatible). The write lock orders the toggle against in-flight
 // publishes: after Seal returns, every subsequent publish sees it.
 func (m *Manager) Seal(args SealArgs, reply *SealReply) error {
-	defer m.lockCoarse()()
 	s := m.lookup(args.SessionID)
 	if s == nil {
 		return nil
@@ -1516,7 +1346,6 @@ func (m *Manager) DropSession(args DropArgs, reply *DropReply) error {
 		m.Drop(args.SessionID)
 		return nil
 	}
-	defer m.lockCoarse()()
 	// The shell keeps version 0, not the live version: a poll that
 	// resolved this shard just before the routing flip would otherwise
 	// read an empty tree stamped at the live version and fast-forward
@@ -1563,7 +1392,6 @@ type SessionLoad struct {
 // Lock-free: a long publish on any session never delays the
 // enumeration.
 func (m *Manager) SessionList(args SessionsArgs, reply *SessionsReply) error {
-	defer m.lockCoarse()()
 	m.sessions.Range(func(k, v any) bool {
 		s := v.(*sessionState)
 		reply.Loads = append(reply.Loads, SessionLoad{
@@ -1615,7 +1443,6 @@ func (m *Manager) Flush(args FlushArgs, reply *FlushReply) error {
 // index vs by a full merged-tree walk. Polls answered by the lock-free
 // quiescent path count in neither (see StatsReply.FastPolls).
 func (m *Manager) PollIndexStats(sessionID string) (indexed, walked int64) {
-	defer m.lockCoarse()()
 	if s := m.lookup(sessionID); s != nil {
 		return s.indexPolls.Load(), s.walkPolls.Load()
 	}
@@ -1668,9 +1495,6 @@ type SubMerger struct {
 	nextFlush     time.Time
 	jrand         uint64           // xorshift state for deadline jitter
 	clock         func() time.Time // test hook; nil = time.Now
-	// ForwardFull republishes the whole merged tree on every flush —
-	// the legacy behavior, retained as the A6 ablation baseline.
-	ForwardFull bool
 	// pressure is the upstream-backpressure level (0..maxFlushPressure):
 	// each flush whose reply reports Busy raises it one step, each clear
 	// reply lowers it, and the effective flush interval is the jittered
@@ -1850,9 +1674,6 @@ func (s *SubMerger) flushLocked() error {
 	}
 	var covered int64
 	reply, err := s.transport.Send(func(full bool) (Snapshot, error) {
-		if s.ForwardFull {
-			return s.fullSnapshotLocked(&covered)
-		}
 		since := s.lastFlushed
 		if full {
 			since = 0
@@ -1888,25 +1709,4 @@ func (s *SubMerger) Pressure() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.pressure
-}
-
-// fullSnapshotLocked builds the legacy whole-tree flush payload.
-func (s *SubMerger) fullSnapshotLocked(covered *int64) (Snapshot, error) {
-	tree, ver, err := s.local.MergedTree(s.session)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	st, err := tree.State()
-	if err != nil {
-		return Snapshot{}, err
-	}
-	fs, err := s.local.FlushState(s.session, ver, s.lastFlushed)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	*covered = ver
-	return Snapshot{
-		Tree: st, Done: fs.Done, Total: fs.Total,
-		Log: strings.Join(fs.Logs, "\n"),
-	}, nil
 }

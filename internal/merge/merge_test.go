@@ -1,17 +1,18 @@
 package merge
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/ipa-grid/ipa/internal/aida"
 )
 
-func snapshot(t *testing.T, fills map[string][]float64) aida.TreeState {
+// snapshot builds a full-baseline delta holding one histogram per path
+// (paths like "/h/mass").
+func snapshot(t *testing.T, fills map[string][]float64) *aida.DeltaState {
 	t.Helper()
 	tree := aida.NewTree()
 	for path, xs := range fills {
-		segs := []byte(path) // paths like "/h/mass"
-		_ = segs
 		h := aida.NewHistogram1D(leafName(path), "", 10, 0, 10)
 		for _, x := range xs {
 			h.Fill(x)
@@ -20,11 +21,11 @@ func snapshot(t *testing.T, fills map[string][]float64) aida.TreeState {
 			t.Fatal(err)
 		}
 	}
-	st, err := tree.State()
+	d, err := tree.FullDelta()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return *st
+	return d
 }
 
 func leafName(path string) string {
@@ -41,14 +42,14 @@ func TestPublishAndPollMerges(t *testing.T) {
 	var rep PublishReply
 	err := m.Publish(PublishArgs{
 		SessionID: "s1", WorkerID: "w0", Seq: 1,
-		Tree: snapshot(t, map[string][]float64{"/h/mass": {1, 2}}), EventsDone: 2, EventsTotal: 10,
+		Delta: snapshot(t, map[string][]float64{"/h/mass": {1, 2}}), EventsDone: 2, EventsTotal: 10,
 	}, &rep)
 	if err != nil || !rep.Accepted {
 		t.Fatalf("publish: %v %+v", err, rep)
 	}
 	err = m.Publish(PublishArgs{
 		SessionID: "s1", WorkerID: "w1", Seq: 1,
-		Tree: snapshot(t, map[string][]float64{"/h/mass": {3}}), EventsDone: 1, EventsTotal: 10,
+		Delta: snapshot(t, map[string][]float64{"/h/mass": {3}}), EventsDone: 1, EventsTotal: 10,
 	}, &rep)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +77,7 @@ func TestIncrementalPoll(t *testing.T) {
 	m := NewManager()
 	var rep PublishReply
 	m.Publish(PublishArgs{SessionID: "s", WorkerID: "w0", Seq: 1,
-		Tree: snapshot(t, map[string][]float64{"/a/h1": {1}, "/a/h2": {2}})}, &rep)
+		Delta: snapshot(t, map[string][]float64{"/a/h1": {1}, "/a/h2": {2}})}, &rep)
 	var first PollReply
 	m.Poll(PollArgs{SessionID: "s"}, &first)
 	if len(first.Entries) != 2 {
@@ -89,8 +90,9 @@ func TestIncrementalPoll(t *testing.T) {
 		t.Fatalf("idle poll = %+v", idle)
 	}
 	// Second snapshot touches only h1.
-	m.Publish(PublishArgs{SessionID: "s", WorkerID: "w0", Seq: 2,
-		Tree: snapshot(t, map[string][]float64{"/a/h1": {1, 5}, "/a/h2": {2}})}, &rep)
+	touched := snapshot(t, map[string][]float64{"/a/h1": {1, 5}})
+	touched.Full = false
+	m.Publish(PublishArgs{SessionID: "s", WorkerID: "w0", Seq: 2, Delta: touched}, &rep)
 	var inc PollReply
 	m.Poll(PollArgs{SessionID: "s", SinceVersion: first.Version}, &inc)
 	if !inc.Changed || len(inc.Entries) != 1 || inc.Entries[0].Path != "/a/h1" {
@@ -102,9 +104,9 @@ func TestStaleSnapshotDropped(t *testing.T) {
 	m := NewManager()
 	var rep PublishReply
 	m.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 5,
-		Tree: snapshot(t, map[string][]float64{"/h": {1, 2, 3}})}, &rep)
+		Delta: snapshot(t, map[string][]float64{"/h": {1, 2, 3}})}, &rep)
 	m.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 3,
-		Tree: snapshot(t, map[string][]float64{"/h": {9}})}, &rep)
+		Delta: snapshot(t, map[string][]float64{"/h": {9}})}, &rep)
 	if rep.Accepted {
 		t.Fatal("stale snapshot accepted")
 	}
@@ -120,7 +122,7 @@ func TestResetRemovesObjects(t *testing.T) {
 	m := NewManager()
 	var rep PublishReply
 	m.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 1,
-		Tree: snapshot(t, map[string][]float64{"/h": {1}})}, &rep)
+		Delta: snapshot(t, map[string][]float64{"/h": {1}})}, &rep)
 	var before PollReply
 	m.Poll(PollArgs{SessionID: "s"}, &before)
 	var rr ResetReply
@@ -147,7 +149,7 @@ func TestLogsDeliveredOnce(t *testing.T) {
 	m := NewManager()
 	var rep PublishReply
 	m.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 1,
-		Tree: snapshot(t, map[string][]float64{"/h": {1}}), Log: "found peak"}, &rep)
+		Delta: snapshot(t, map[string][]float64{"/h": {1}}), Log: "found peak"}, &rep)
 	var p1 PollReply
 	m.Poll(PollArgs{SessionID: "s"}, &p1)
 	if len(p1.Logs) != 1 || p1.Logs[0] != "found peak" {
@@ -169,7 +171,7 @@ func TestSubMergerAggregates(t *testing.T) {
 	} {
 		err := sub.Publish(PublishArgs{
 			SessionID: "s", WorkerID: string(rune('a' + i)), Seq: 1,
-			Tree: snapshot(t, fills), EventsDone: 1, EventsTotal: 1,
+			Delta: snapshot(t, fills), EventsDone: 1, EventsTotal: 1,
 		}, &rep)
 		if err != nil {
 			t.Fatal(err)
@@ -196,7 +198,7 @@ func TestSubMergerBatchedFlush(t *testing.T) {
 	sub := NewSubMerger("g", "s", root, 10) // only flush every 10 publishes
 	var rep PublishReply
 	sub.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 1,
-		Tree: snapshot(t, map[string][]float64{"/h": {1}})}, &rep)
+		Delta: snapshot(t, map[string][]float64{"/h": {1}})}, &rep)
 	var poll PollReply
 	root.Poll(PollArgs{SessionID: "s"}, &poll)
 	if len(poll.Entries) != 0 {
@@ -217,13 +219,19 @@ func TestPublishValidation(t *testing.T) {
 	if err := m.Publish(PublishArgs{}, &rep); err == nil {
 		t.Fatal("empty publish accepted")
 	}
+	if err := m.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 1}, &rep); err == nil {
+		t.Fatal("publish without a delta accepted")
+	}
+	if v := m.Version("s"); v != 0 {
+		t.Fatalf("rejected publish moved the session to version %d", v)
+	}
 }
 
 func TestMergedTreeCopyIsIndependent(t *testing.T) {
 	m := NewManager()
 	var rep PublishReply
 	m.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 1,
-		Tree: snapshot(t, map[string][]float64{"/h": {1}})}, &rep)
+		Delta: snapshot(t, map[string][]float64{"/h": {1}})}, &rep)
 	tree, ver, err := m.MergedTree("s")
 	if err != nil || ver == 0 {
 		t.Fatal(err)
@@ -232,5 +240,46 @@ func TestMergedTreeCopyIsIndependent(t *testing.T) {
 	tree2, _, _ := m.MergedTree("s")
 	if tree2.Get("/h").(*aida.Histogram1D).Entries() != 1 {
 		t.Fatal("MergedTree aliases internal state")
+	}
+}
+
+// TestPublishBadAxisRejectedAtomically: a delta carrying an object whose
+// binning no booked histogram could have (lo >= hi here — what a corrupt
+// or hostile frame decodes to) fails its publish with an error instead
+// of panicking, leaves the session's version and merged tree untouched
+// even though a valid entry rode in the same delta, and leaves the
+// manager serving.
+func TestPublishBadAxisRejectedAtomically(t *testing.T) {
+	m := NewManager()
+	var rep PublishReply
+	if err := m.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 1,
+		Delta: snapshot(t, map[string][]float64{"/h/a": {1, 2}})}, &rep); err != nil || !rep.Accepted {
+		t.Fatalf("baseline publish: %v %+v", err, rep)
+	}
+	version := m.Version("s")
+	before := pollEntries(t, m)
+
+	bad := snapshot(t, map[string][]float64{"/h/a": {3}, "/h/b": {4}})
+	bad.Full = false
+	for _, e := range bad.Entries {
+		if e.Path == "/h/b" {
+			e.Object.H1.Lo, e.Object.H1.Hi = 2, 1
+		}
+	}
+	if err := m.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 2, Delta: bad}, &rep); err == nil {
+		t.Fatal("publish with an invalid axis accepted")
+	}
+	if v := m.Version("s"); v != version {
+		t.Fatalf("rejected publish moved the version %d → %d", version, v)
+	}
+	if after := pollEntries(t, m); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rejected publish changed the merged tree: %v → %v", keys(before), keys(after))
+	}
+
+	// Still serving: the next valid delta lands.
+	next := snapshot(t, map[string][]float64{"/h/a": {5}})
+	next.Full = false
+	if err := m.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: 2, Delta: next}, &rep); err != nil || !rep.Accepted {
+		t.Fatalf("publish after the rejection: %v %+v", err, rep)
 	}
 }

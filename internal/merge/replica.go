@@ -93,7 +93,6 @@ func (m *Manager) Mirror(args MirrorArgs, reply *MirrorReply) error {
 	if args.Delta == nil {
 		return fmt.Errorf("merge: mirror from %s carries no delta", args.WorkerID)
 	}
-	defer m.lockCoarse()()
 	s := m.session(args.SessionID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -230,7 +229,6 @@ type PromoteReply struct {
 // floor: no mirror or import from the dead ancestor's incarnation can
 // ever overwrite the promoted state.
 func (m *Manager) Promote(args PromoteArgs, reply *PromoteReply) error {
-	defer m.lockCoarse()()
 	s := m.lookup(args.SessionID)
 	if s == nil {
 		return nil
@@ -268,8 +266,7 @@ func (m *Manager) Promote(args PromoteArgs, reply *PromoteReply) error {
 	}
 	s.sealed.Store(false)
 	s.version++
-	s.dirty = true
-	if err := s.remerge(); err != nil {
+	if err := s.rebuild(); err != nil {
 		return err
 	}
 	s.commitLocked()
@@ -303,7 +300,6 @@ func (m *Manager) Fence(args FenceArgs, reply *FenceReply) error {
 	if args.SessionID == "" {
 		return errors.New("merge: fence needs a session ID")
 	}
-	defer m.lockCoarse()()
 	s := m.lookup(args.SessionID)
 	if s == nil {
 		if args.Epoch == 0 {

@@ -26,16 +26,13 @@ type Publisher interface {
 	Publish(args PublishArgs, reply *PublishReply) error
 }
 
-// Snapshot is one transport send's payload: a delta (preferred) or a
-// legacy whole tree, plus the progress and log lines that ride along.
+// Snapshot is one transport send's payload: a delta plus the progress
+// and log lines that ride along.
 type Snapshot struct {
 	// Delta is the incremental snapshot. The builder must honor the
 	// full flag it was given: when asked for a baseline, Delta.Full
 	// must be set and Entries must carry the producer's entire state.
 	Delta *aida.DeltaState
-	// Tree is the legacy whole-tree snapshot (the full-flush ablation
-	// baseline). Used only when Delta is nil.
-	Tree *aida.TreeState
 	// Done / Total drive the receiver's progress display.
 	Done, Total int64
 	// Log carries accumulated analysis output since the last send.
@@ -100,7 +97,7 @@ func (t *Transport) Rebaselines() int64 {
 	return t.rebaselines
 }
 
-var errEmptySnapshot = errors.New("merge: transport snapshot carries neither delta nor tree")
+var errEmptySnapshot = errors.New("merge: transport snapshot carries no delta")
 
 // Send builds and publishes one snapshot. The builder receives whether
 // this send must be a full baseline (first send, post-failure, or
@@ -116,6 +113,9 @@ func (t *Transport) Send(build func(full bool) (Snapshot, error)) (PublishReply,
 	if err != nil {
 		return PublishReply{}, err
 	}
+	if snap.Delta == nil {
+		return PublishReply{}, errEmptySnapshot
+	}
 	if t.needFull && t.gen > 0 {
 		t.rebaselines++
 	}
@@ -128,17 +128,9 @@ func (t *Transport) Send(build func(full bool) (Snapshot, error)) (PublishReply,
 		// engine snapshot is followable through router, owner shard,
 		// mirror replica, and WAL.
 		Trace: obs.NewTrace(),
+		Delta: snap.Delta,
 	}
-	switch {
-	case snap.Delta != nil:
-		snap.Delta.SetCompressionPolicy(t.policy)
-		args.Delta = snap.Delta
-	case snap.Tree != nil:
-		snap.Tree.SetCompressionPolicy(t.policy)
-		args.Tree = *snap.Tree
-	default:
-		return PublishReply{}, errEmptySnapshot
-	}
+	snap.Delta.SetCompressionPolicy(t.policy)
 	var reply PublishReply
 	if err := t.upstream.Publish(args, &reply); err != nil {
 		t.needFull = true
@@ -174,15 +166,8 @@ func NewRemotePublisher(client *rmi.Client, object string) *RemotePublisher {
 
 // Publish implements Publisher over the wire.
 func (p *RemotePublisher) Publish(args PublishArgs, reply *PublishReply) error {
-	if p.client.Compressed() {
-		if args.Delta != nil {
-			args.Delta.SetWireCompression(true)
-		} else {
-			// Only flag the tree when it is the payload: flagging the
-			// zero TreeState of a delta publish would make gob transmit
-			// the otherwise-omitted empty field.
-			args.Tree.SetWireCompression(true)
-		}
+	if p.client.Compressed() && args.Delta != nil {
+		args.Delta.SetWireCompression(true)
 	}
 	return p.client.Call(p.target, args, reply)
 }

@@ -23,7 +23,6 @@ import (
 	"os"
 	"sync"
 
-	"github.com/ipa-grid/ipa/internal/aida"
 	"github.com/ipa-grid/ipa/internal/obs"
 )
 
@@ -55,6 +54,26 @@ type walRecord struct {
 	Session   string
 	Tombstone bool
 	Epoch     int64
+}
+
+// check rejects a record whose kind's payload is missing: a corrupt or
+// foreign record must fail replay with an error, never a nil
+// dereference. A pre-delta whole-tree publish record decodes with a nil
+// Delta, which Publish and Mirror reject on their own.
+func (rec *walRecord) check() error {
+	var missing bool
+	switch rec.Kind {
+	case walPublish:
+		missing = rec.Publish == nil
+	case walMirror:
+		missing = rec.Mirror == nil
+	case walImport, walSnapshot:
+		missing = rec.Import == nil
+	}
+	if missing {
+		return fmt.Errorf("merge: log record of kind %d carries no payload", rec.Kind)
+	}
+	return nil
 }
 
 // WALOptions tune the log.
@@ -321,6 +340,9 @@ func uvarintLen(v uint64) int {
 }
 
 func applyRecord(m *Manager, rec *walRecord) error {
+	if err := rec.check(); err != nil {
+		return err
+	}
 	switch rec.Kind {
 	case walPublish:
 		var pr PublishReply
@@ -375,9 +397,12 @@ func applyRecord(m *Manager, rec *walRecord) error {
 func ReplaySessionInto(path, sessionID string, m *Manager) (int, error) {
 	applied := 0
 	apply := func(rec *walRecord) error {
+		if err := rec.check(); err != nil {
+			return err
+		}
 		switch rec.Kind {
 		case walImport, walSnapshot:
-			if rec.Import == nil || rec.Import.SessionID != sessionID {
+			if rec.Import.SessionID != sessionID {
 				return nil
 			}
 			var ir ImportReply
@@ -386,7 +411,7 @@ func ReplaySessionInto(path, sessionID string, m *Manager) (int, error) {
 			}
 			applied++
 		case walPublish:
-			if rec.Publish == nil || rec.Publish.SessionID != sessionID {
+			if rec.Publish.SessionID != sessionID {
 				return nil
 			}
 			p := rec.Publish
@@ -401,9 +426,6 @@ func ReplaySessionInto(path, sessionID string, m *Manager) (int, error) {
 				Delta: p.Delta, EventsDone: p.EventsDone, EventsTotal: p.EventsTotal,
 				Log: p.Log,
 			}
-			if margs.Delta == nil {
-				margs.Delta = &aida.DeltaState{Full: true, Entries: p.Tree.Entries}
-			}
 			var mr MirrorReply
 			if err := m.Mirror(margs, &mr); err != nil && err != ErrFenced {
 				return err
@@ -412,7 +434,7 @@ func ReplaySessionInto(path, sessionID string, m *Manager) (int, error) {
 				applied++
 			}
 		case walMirror:
-			if rec.Mirror == nil || rec.Mirror.SessionID != sessionID {
+			if rec.Mirror.SessionID != sessionID {
 				return nil
 			}
 			var mr MirrorReply

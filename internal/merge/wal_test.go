@@ -191,3 +191,45 @@ func TestWALTornTailTruncates(t *testing.T) {
 		t.Fatal("torn-tail prefix changed across a second replay")
 	}
 }
+
+// TestWALReplayRejectsNilPayloads: a record whose kind's payload is
+// missing — log corruption, or a pre-delta whole-tree publish, which
+// decodes with a nil Delta — fails both the full replay and the
+// per-session tail replay with an error instead of a nil dereference.
+func TestWALReplayRejectsNilPayloads(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rec  walRecord
+	}{
+		{"publish", walRecord{Kind: walPublish}},
+		{"publish-without-delta", walRecord{Kind: walPublish, Publish: &PublishArgs{SessionID: "s", WorkerID: "w", Seq: 1}}},
+		{"mirror", walRecord{Kind: walMirror}},
+		{"import", walRecord{Kind: walImport}},
+		{"snapshot", walRecord{Kind: walSnapshot}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "m.wal")
+			w, err := OpenWAL(path, WALOptions{SyncEvery: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := w.append(&tc.rec); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			w2, err := OpenWAL(path, WALOptions{SyncEvery: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w2.Close()
+			if _, err := w2.Replay(NewManager()); err == nil {
+				t.Fatal("replay accepted a record without its payload")
+			}
+			if _, err := ReplaySessionInto(path, "s", NewManager()); err == nil {
+				t.Fatal("tail replay accepted a record without its payload")
+			}
+		})
+	}
+}

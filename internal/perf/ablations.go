@@ -6,7 +6,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,7 +14,6 @@ import (
 	"github.com/ipa-grid/ipa/internal/gram"
 	"github.com/ipa-grid/ipa/internal/merge"
 	"github.com/ipa-grid/ipa/internal/netsim"
-	"github.com/ipa-grid/ipa/internal/rmi"
 	"github.com/ipa-grid/ipa/internal/scheduler"
 	"github.com/ipa-grid/ipa/internal/shard"
 )
@@ -113,7 +111,7 @@ type MergeAblationRow struct {
 // MergeAblation publishes `rounds` snapshots from each of `workers`
 // engines, each snapshot carrying `objects` histograms, in both shapes.
 func MergeAblation(workers, rounds, objects, groupSize int) ([]MergeAblationRow, error) {
-	mkTree := func(seed int) aida.TreeState {
+	mkDelta := func(seed int) *aida.DeltaState {
 		t := aida.NewTree()
 		for o := 0; o < objects; o++ {
 			h := aida.NewHistogram1D(fmt.Sprintf("h%d", o), "", 50, 0, 100)
@@ -122,8 +120,8 @@ func MergeAblation(workers, rounds, objects, groupSize int) ([]MergeAblationRow,
 			}
 			t.Put("/a", h)
 		}
-		st, _ := t.State()
-		return *st
+		d, _ := t.FullDelta()
+		return d
 	}
 	var out []MergeAblationRow
 
@@ -136,7 +134,7 @@ func MergeAblation(workers, rounds, objects, groupSize int) ([]MergeAblationRow,
 		for w := 0; w < workers; w++ {
 			if err := counting.Publish(merge.PublishArgs{
 				SessionID: "s", WorkerID: fmt.Sprintf("w%03d", w), Seq: int64(r + 1),
-				Tree: mkTree(w), EventsDone: int64(r), EventsTotal: int64(rounds),
+				Delta: mkDelta(w), EventsDone: int64(r), EventsTotal: int64(rounds),
 			}, &rep); err != nil {
 				return nil, err
 			}
@@ -165,7 +163,7 @@ func MergeAblation(workers, rounds, objects, groupSize int) ([]MergeAblationRow,
 			}
 			if err := sm.Publish(merge.PublishArgs{
 				SessionID: "s", WorkerID: fmt.Sprintf("w%03d", w), Seq: int64(r + 1),
-				Tree: mkTree(w), EventsDone: int64(r), EventsTotal: int64(rounds),
+				Delta: mkDelta(w), EventsDone: int64(r), EventsTotal: int64(rounds),
 			}, &rep); err != nil {
 				return nil, err
 			}
@@ -235,155 +233,12 @@ func StreamAblation(sizeMB float64, streamCounts []int) []StreamAblationRow {
 	return out
 }
 
-// A5 — incremental snapshot publishing. Publish-side cost of a steady
-// interactive session (each worker keeps filling a few of its histograms)
-// under the delta protocol vs the retained full-snapshot baseline.
-
-// PublishAblationRow is one mode's outcome.
-type PublishAblationRow struct {
-	Mode    string // "full" or "delta"
-	Workers int
-	Rounds  int
-	Objects int
-	Touched int
-	// WallMS is the wall time for all rounds (publishes + one
-	// incremental poll per round).
-	WallMS int64
-	// AllocsPerRound is the mean heap allocation count per round.
-	AllocsPerRound float64
-	// WireBytesPerPublish is the gob-encoded size of one steady-state
-	// publish (what the RMI layer would put on the wire).
-	WireBytesPerPublish int64
-}
-
-// PublishAblation runs `rounds` steady-state rounds over `workers`
-// engines each holding `objects` histograms of which `touched` change per
-// round, in both snapshot modes.
-func PublishAblation(workers, rounds, objects, touched int) ([]PublishAblationRow, error) {
-	if touched > objects {
-		touched = objects
-	}
-	var out []PublishAblationRow
-	for _, mode := range []string{"full", "delta"} {
-		m := merge.NewManager()
-		trees := make([]*aida.Tree, workers)
-		hists := make([][]*aida.Histogram1D, workers)
-		for w := range trees {
-			trees[w] = aida.NewTree()
-			hists[w] = make([]*aida.Histogram1D, objects)
-			for o := 0; o < objects; o++ {
-				h, err := trees[w].H1D("/a", fmt.Sprintf("h%02d", o), "", 100, 0, 100)
-				if err != nil {
-					return nil, err
-				}
-				for f := 0; f < 1000; f++ {
-					h.Fill(float64((w*31 + f) % 100))
-				}
-				hists[w][o] = h
-			}
-		}
-		seqs := make([]int64, workers)
-		var rep merge.PublishReply
-		publish := func(w int) error {
-			seqs[w]++
-			args := merge.PublishArgs{
-				SessionID: "s", WorkerID: fmt.Sprintf("w%03d", w), Seq: seqs[w],
-			}
-			if mode == "full" {
-				st, err := trees[w].State()
-				if err != nil {
-					return err
-				}
-				args.Tree = *st
-			} else {
-				d, err := trees[w].Delta()
-				if err != nil {
-					return err
-				}
-				args.Delta = d
-			}
-			return m.Publish(args, &rep)
-		}
-		// Baseline round (not measured): every worker announces its tree.
-		for w := 0; w < workers; w++ {
-			if err := publish(w); err != nil {
-				return nil, err
-			}
-		}
-		var poll merge.PollReply
-		if err := m.Poll(merge.PollArgs{SessionID: "s"}, &poll); err != nil {
-			return nil, err
-		}
-		since := poll.Version
-		// One steady-state publish measured for wire size.
-		for o := 0; o < touched; o++ {
-			hists[0][o].Fill(50)
-		}
-		var wireBytes int64
-		{
-			args := merge.PublishArgs{SessionID: "s", WorkerID: "w000", Seq: seqs[0] + 1}
-			if mode == "full" {
-				st, err := trees[0].State()
-				if err != nil {
-					return nil, err
-				}
-				args.Tree = *st
-			} else {
-				d, err := trees[0].Delta()
-				if err != nil {
-					return nil, err
-				}
-				args.Delta = d
-			}
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&args); err != nil {
-				return nil, err
-			}
-			wireBytes = int64(buf.Len())
-			seqs[0]++
-			if err := m.Publish(args, &rep); err != nil {
-				return nil, err
-			}
-		}
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		for r := 0; r < rounds; r++ {
-			for w := 0; w < workers; w++ {
-				for o := 0; o < touched; o++ {
-					hists[w][(r+o)%objects].Fill(float64((r + o) % 100))
-				}
-				if err := publish(w); err != nil {
-					return nil, err
-				}
-			}
-			poll = merge.PollReply{}
-			if err := m.Poll(merge.PollArgs{SessionID: "s", SinceVersion: since}, &poll); err != nil {
-				return nil, err
-			}
-			since = poll.Version
-		}
-		wall := time.Since(start)
-		runtime.ReadMemStats(&after)
-		out = append(out, PublishAblationRow{
-			Mode: mode, Workers: workers, Rounds: rounds, Objects: objects, Touched: touched,
-			WallMS:              wall.Milliseconds(),
-			AllocsPerRound:      float64(after.Mallocs-before.Mallocs) / float64(rounds),
-			WireBytesPerPublish: wireBytes,
-		})
-	}
-	return out, nil
-}
-
 // A6 — hierarchical delta forwarding (§2.5 composed with the
 // incremental pipeline). Upstream cost of SubMerger flushes when each
-// group forwards touched-only deltas vs republishing its whole merged
-// tree (the legacy full-flush baseline).
+// group forwards the touched-only deltas of its merged tree.
 
-// HierarchyAblationRow is one forwarding mode's outcome.
+// HierarchyAblationRow is the forwarding outcome.
 type HierarchyAblationRow struct {
-	Mode    string // "full-flush" or "delta-flush"
 	Groups  int
 	Workers int // per group
 	Rounds  int
@@ -418,159 +273,80 @@ func (p *wirePublisher) Publish(args merge.PublishArgs, reply *merge.PublishRepl
 
 // HierarchyAblation runs `rounds` steady-state rounds over groups×
 // workers engines (each holding `objects` histograms of which `touched`
-// change per round) behind per-group SubMergers, in both forwarding
-// modes.
-func HierarchyAblation(groups, workersPerGroup, rounds, objects, touched int) ([]HierarchyAblationRow, error) {
+// change per round) behind per-group SubMergers.
+func HierarchyAblation(groups, workersPerGroup, rounds, objects, touched int) (HierarchyAblationRow, error) {
 	if touched > objects {
 		touched = objects
 	}
-	var out []HierarchyAblationRow
-	for _, mode := range []string{"full-flush", "delta-flush"} {
-		root := merge.NewManager()
-		wire := &wirePublisher{inner: root}
-		subs := make([]*merge.SubMerger, groups)
-		for g := range subs {
-			subs[g] = merge.NewSubMerger(fmt.Sprintf("group-%02d", g), "s", wire, workersPerGroup)
-			subs[g].ForwardFull = mode == "full-flush"
-		}
-		nw := groups * workersPerGroup
-		trees := make([]*aida.Tree, nw)
-		hists := make([][]*aida.Histogram1D, nw)
-		for w := range trees {
-			trees[w] = aida.NewTree()
-			hists[w] = make([]*aida.Histogram1D, objects)
-			for o := 0; o < objects; o++ {
-				h, err := trees[w].H1D("/a", fmt.Sprintf("h%02d", o), "", 100, 0, 100)
-				if err != nil {
-					return nil, err
-				}
-				for f := 0; f < 1000; f++ {
-					h.Fill(float64((w*31 + f) % 100))
-				}
-				hists[w][o] = h
-			}
-		}
-		seqs := make([]int64, nw)
-		var rep merge.PublishReply
-		publish := func(w int) error {
-			d, err := trees[w].Delta()
-			if err != nil {
-				return err
-			}
-			seqs[w]++
-			return subs[w/workersPerGroup].Publish(merge.PublishArgs{
-				SessionID: "s", WorkerID: fmt.Sprintf("w%03d", w), Seq: seqs[w], Delta: d,
-			}, &rep)
-		}
-		// Baseline round (not measured): every worker announces its tree.
-		for w := 0; w < nw; w++ {
-			if err := publish(w); err != nil {
-				return nil, err
-			}
-		}
-		baseBytes, baseCalls := wire.bytes, wire.calls
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		for r := 0; r < rounds; r++ {
-			for w := 0; w < nw; w++ {
-				for o := 0; o < touched; o++ {
-					hists[w][(r+o)%objects].Fill(float64((r + o) % 100))
-				}
-				if err := publish(w); err != nil {
-					return nil, err
-				}
-			}
-		}
-		wall := time.Since(start)
-		runtime.ReadMemStats(&after)
-		flushes := wire.calls - baseCalls
-		if flushes == 0 {
-			return nil, fmt.Errorf("perf: hierarchy ablation made no upstream flushes")
-		}
-		out = append(out, HierarchyAblationRow{
-			Mode: mode, Groups: groups, Workers: workersPerGroup,
-			Rounds: rounds, Objects: objects, Touched: touched,
-			UpstreamBytesPerFlush: (wire.bytes - baseBytes) / flushes,
-			AllocsPerRound:        float64(after.Mallocs-before.Mallocs) / float64(rounds),
-			WallMS:                wall.Milliseconds(),
-		})
+	root := merge.NewManager()
+	wire := &wirePublisher{inner: root}
+	subs := make([]*merge.SubMerger, groups)
+	for g := range subs {
+		subs[g] = merge.NewSubMerger(fmt.Sprintf("group-%02d", g), "s", wire, workersPerGroup)
 	}
-	return out, nil
-}
-
-// A7 — the encoded-frame poll cache. Per-poll cost when N clients poll
-// the same merged state, with the cache on (one encode serves everyone)
-// vs off (every poll re-encodes every object).
-
-// PollCacheAblationRow is one configuration's outcome.
-type PollCacheAblationRow struct {
-	Mode    string // "uncached" or "cached"
-	Clients int
-	Objects int
-	// AllocsPerPoll is the mean heap allocation count per full poll.
-	AllocsPerPoll float64
-	// MicrosPerPoll is the mean wall time per full poll.
-	MicrosPerPoll float64
-	// Hits / Misses are the manager's cache counters after the run.
-	Hits, Misses int64
-}
-
-// PollCacheAblation publishes `objects` histograms once, then serves
-// `clients` identical full polls in both cache modes.
-func PollCacheAblation(clients, objects int) ([]PollCacheAblationRow, error) {
-	var out []PollCacheAblationRow
-	for _, mode := range []string{"uncached", "cached"} {
-		m := merge.NewManager()
-		m.DisableEncodeCache = mode == "uncached"
-		tree := aida.NewTree()
+	nw := groups * workersPerGroup
+	trees := make([]*aida.Tree, nw)
+	hists := make([][]*aida.Histogram1D, nw)
+	for w := range trees {
+		trees[w] = aida.NewTree()
+		hists[w] = make([]*aida.Histogram1D, objects)
 		for o := 0; o < objects; o++ {
-			h, err := tree.H1D("/a", fmt.Sprintf("h%02d", o), "", 100, 0, 100)
+			h, err := trees[w].H1D("/a", fmt.Sprintf("h%02d", o), "", 100, 0, 100)
 			if err != nil {
-				return nil, err
+				return HierarchyAblationRow{}, err
 			}
 			for f := 0; f < 1000; f++ {
-				h.Fill(float64(f % 100))
+				h.Fill(float64((w*31 + f) % 100))
 			}
+			hists[w][o] = h
 		}
-		d, err := tree.Delta()
-		if err != nil {
-			return nil, err
-		}
-		var rep merge.PublishReply
-		if err := m.Publish(merge.PublishArgs{SessionID: "s", WorkerID: "w", Seq: 1, Delta: d}, &rep); err != nil {
-			return nil, err
-		}
-		// Prime: the first poll pays the encodes in either mode.
-		var warm merge.PollReply
-		if err := m.Poll(merge.PollArgs{SessionID: "s", Full: true}, &warm); err != nil {
-			return nil, err
-		}
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		for c := 0; c < clients; c++ {
-			var poll merge.PollReply
-			if err := m.Poll(merge.PollArgs{SessionID: "s", Full: true}, &poll); err != nil {
-				return nil, err
-			}
-			if len(poll.Entries) != objects {
-				return nil, fmt.Errorf("perf: poll returned %d of %d objects", len(poll.Entries), objects)
-			}
-		}
-		wall := time.Since(start)
-		runtime.ReadMemStats(&after)
-		hits, misses := m.CacheStats("s")
-		out = append(out, PollCacheAblationRow{
-			Mode: mode, Clients: clients, Objects: objects,
-			AllocsPerPoll: float64(after.Mallocs-before.Mallocs) / float64(clients),
-			MicrosPerPoll: float64(wall.Microseconds()) / float64(clients),
-			Hits:          hits, Misses: misses,
-		})
 	}
-	return out, nil
+	seqs := make([]int64, nw)
+	var rep merge.PublishReply
+	publish := func(w int) error {
+		d, err := trees[w].Delta()
+		if err != nil {
+			return err
+		}
+		seqs[w]++
+		return subs[w/workersPerGroup].Publish(merge.PublishArgs{
+			SessionID: "s", WorkerID: fmt.Sprintf("w%03d", w), Seq: seqs[w], Delta: d,
+		}, &rep)
+	}
+	// Baseline round (not measured): every worker announces its tree.
+	for w := 0; w < nw; w++ {
+		if err := publish(w); err != nil {
+			return HierarchyAblationRow{}, err
+		}
+	}
+	baseBytes, baseCalls := wire.bytes, wire.calls
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	for r := 0; r < rounds; r++ {
+		for w := 0; w < nw; w++ {
+			for o := 0; o < touched; o++ {
+				hists[w][(r+o)%objects].Fill(float64((r + o) % 100))
+			}
+			if err := publish(w); err != nil {
+				return HierarchyAblationRow{}, err
+			}
+		}
+	}
+	wall := time.Since(start)
+	runtime.ReadMemStats(&after)
+	flushes := wire.calls - baseCalls
+	if flushes == 0 {
+		return HierarchyAblationRow{}, fmt.Errorf("perf: hierarchy ablation made no upstream flushes")
+	}
+	return HierarchyAblationRow{
+		Groups: groups, Workers: workersPerGroup,
+		Rounds: rounds, Objects: objects, Touched: touched,
+		UpstreamBytesPerFlush: (wire.bytes - baseBytes) / flushes,
+		AllocsPerRound:        float64(after.Mallocs-before.Mallocs) / float64(rounds),
+		WallMS:                wall.Milliseconds(),
+	}, nil
 }
 
 // A8 — compressed wire frames. Size of one steady-state snapshot in
@@ -628,25 +404,29 @@ type PollAblationResult struct {
 // gob-encoded reply sizes of a full poll vs an incremental poll.
 func PollAblation(objects int) (PollAblationResult, error) {
 	m := merge.NewManager()
-	mk := func(bump int) aida.TreeState {
-		t := aida.NewTree()
-		for o := 0; o < objects; o++ {
-			h := aida.NewHistogram1D(fmt.Sprintf("h%02d", o), "", 100, 0, 100)
-			for f := 0; f < 1000; f++ {
-				h.Fill(float64(f % 100))
-			}
-			if o == 0 {
-				for f := 0; f < bump; f++ {
-					h.Fill(50)
-				}
-			}
-			t.Put("/a", h)
+	t := aida.NewTree()
+	var changed *aida.Histogram1D
+	for o := 0; o < objects; o++ {
+		h, err := t.H1D("/a", fmt.Sprintf("h%02d", o), "", 100, 0, 100)
+		if err != nil {
+			return PollAblationResult{}, err
 		}
-		st, _ := t.State()
-		return *st
+		for f := 0; f < 1000; f++ {
+			h.Fill(float64(f % 100))
+		}
+		if o == 0 {
+			changed = h
+		}
 	}
-	var rep merge.PublishReply
-	if err := m.Publish(merge.PublishArgs{SessionID: "s", WorkerID: "w", Seq: 1, Tree: mk(0)}, &rep); err != nil {
+	publish := func(seq int64) error {
+		d, err := t.Delta()
+		if err != nil {
+			return err
+		}
+		var rep merge.PublishReply
+		return m.Publish(merge.PublishArgs{SessionID: "s", WorkerID: "w", Seq: seq, Delta: d}, &rep)
+	}
+	if err := publish(1); err != nil {
 		return PollAblationResult{}, err
 	}
 	var first merge.PollReply
@@ -654,7 +434,10 @@ func PollAblation(objects int) (PollAblationResult, error) {
 		return PollAblationResult{}, err
 	}
 	// One histogram changes.
-	if err := m.Publish(merge.PublishArgs{SessionID: "s", WorkerID: "w", Seq: 2, Tree: mk(7)}, &rep); err != nil {
+	for f := 0; f < 7; f++ {
+		changed.Fill(50)
+	}
+	if err := publish(2); err != nil {
 		return PollAblationResult{}, err
 	}
 	size := func(args merge.PollArgs) (int, error) {
@@ -784,283 +567,17 @@ func ShardAblation(shardCounts []int, sessions, workers, rounds, objects int) ([
 	return out, nil
 }
 
-// A10 — fine-grained merge-fabric locking and RMI pipelining. The
-// coarse baseline serializes every Publish/Poll/Stats of a Manager on
-// one mutex (why BENCH_3's A9 curve was nearly flat); the fine-grained
-// fabric gives every session its own RWMutex and answers quiescent
-// polls from an atomic snapshot with no lock at all.
-
-// LockAblationRow is one (mode, shards, sessions) cell's outcome.
-type LockAblationRow struct {
-	Mode     string // "coarse" or "fine"
-	Shards   int
-	Sessions int
-	Workers  int // publishing workers per session
-	Pollers  int // polling clients per session
-	Rounds   int
-	// PublishesPerSec is aggregate fabric publish throughput.
-	PublishesPerSec float64
-	// PollsPerSec is aggregate client poll throughput (the pollers
-	// free-run for the duration of the publish load).
-	PollsPerSec float64
-	// FastPollFrac is the fraction of polls answered on the lock-free
-	// quiescent path (always 0 in coarse mode, which disables it).
-	FastPollFrac float64
-	WallMS       int64
-}
-
-// LockAblation drives, for every (shard count × session count) pair,
-// `workers` delta-publishing engines and `pollers` free-running
-// incremental pollers per session against a router over fine-grained
-// and coarse-locked managers in turn.
-func LockAblation(shardCounts, sessionCounts []int, workers, pollers, rounds, objects int) ([]LockAblationRow, error) {
-	var out []LockAblationRow
-	for _, mode := range []string{"coarse", "fine"} {
-		for _, nShards := range shardCounts {
-			for _, nSessions := range sessionCounts {
-				row, err := lockAblationCell(mode, nShards, nSessions, workers, pollers, rounds, objects)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, row)
-			}
-		}
-	}
-	return out, nil
-}
-
-func lockAblationCell(mode string, nShards, nSessions, workers, pollers, rounds, objects int) (LockAblationRow, error) {
-	router := shard.NewRouter(0)
-	var mgrs []*merge.Manager
-	for i := 0; i < nShards; i++ {
-		m := merge.NewManager()
-		m.CoarseLocking = mode == "coarse"
-		mgrs = append(mgrs, m)
-		if err := router.AddShard(fmt.Sprintf("shard%02d", i), m); err != nil {
-			return LockAblationRow{}, err
-		}
-	}
-	errs := make(chan error, nSessions)
-	var stop atomic.Bool
-	var pollCount, fastBase atomic.Int64
-	var pollErr atomic.Pointer[error]
-	var pollWG sync.WaitGroup
-	start := time.Now()
-	for s := 0; s < nSessions; s++ {
-		sid := fmt.Sprintf("sess-%02d", s)
-		go func() {
-			trees := make([]*aida.Tree, workers)
-			hists := make([][]*aida.Histogram1D, workers)
-			transports := make([]*merge.Transport, workers)
-			for w := range trees {
-				trees[w] = aida.NewTree()
-				hists[w] = make([]*aida.Histogram1D, objects)
-				for o := 0; o < objects; o++ {
-					h, err := trees[w].H1D("/a", fmt.Sprintf("h%02d", o), "", 100, 0, 100)
-					if err != nil {
-						errs <- err
-						return
-					}
-					for f := 0; f < 200; f++ {
-						h.Fill(float64((w*31 + f) % 100))
-					}
-					hists[w][o] = h
-				}
-				transports[w] = merge.NewTransport(sid, fmt.Sprintf("w%02d", w), router)
-			}
-			for r := 0; r < rounds; r++ {
-				for w := 0; w < workers; w++ {
-					hists[w][r%objects].Fill(float64(r % 100))
-					_, err := transports[w].Send(func(full bool) (merge.Snapshot, error) {
-						var d *aida.DeltaState
-						var err error
-						if full {
-							d, err = trees[w].FullDelta()
-						} else {
-							d, err = trees[w].Delta()
-						}
-						return merge.Snapshot{Delta: d}, err
-					})
-					if err != nil {
-						errs <- err
-						return
-					}
-				}
-			}
-			errs <- nil
-		}()
-		for p := 0; p < pollers; p++ {
-			pollWG.Add(1)
-			go func() {
-				defer pollWG.Done()
-				var since int64
-				for !stop.Load() {
-					var reply merge.PollReply
-					if err := router.Poll(merge.PollArgs{SessionID: sid, SinceVersion: since}, &reply); err != nil {
-						// Surface the failure: a silently-exiting poller
-						// would leave the cell green with merely fewer
-						// polls/s — exactly what the CI -race smoke must
-						// not miss.
-						pollErr.CompareAndSwap(nil, &err)
-						return
-					}
-					since = reply.Version
-					pollCount.Add(1)
-				}
-			}()
-		}
-	}
-	var firstErr error
-	for s := 0; s < nSessions; s++ {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	wall := time.Since(start)
-	// Snapshot the poll count at the same instant as the wall clock:
-	// polls completing while the pollers drain after stop would
-	// otherwise land in the numerator but not the denominator.
-	pollsInWindow := pollCount.Load()
-	stop.Store(true)
-	pollWG.Wait()
-	if firstErr == nil {
-		if ep := pollErr.Load(); ep != nil {
-			firstErr = *ep
-		}
-	}
-	if firstErr != nil {
-		return LockAblationRow{}, firstErr
-	}
-	for s := 0; s < nSessions; s++ {
-		sid := fmt.Sprintf("sess-%02d", s)
-		for _, m := range mgrs {
-			fastBase.Add(m.FastPolls(sid))
-		}
-	}
-	secs := wall.Seconds()
-	if secs <= 0 {
-		secs = 1e-9
-	}
-	row := LockAblationRow{
-		Mode: mode, Shards: nShards, Sessions: nSessions,
-		Workers: workers, Pollers: pollers, Rounds: rounds,
-		PublishesPerSec: float64(nSessions*rounds*workers) / secs,
-		PollsPerSec:     float64(pollsInWindow) / secs,
-		WallMS:          wall.Milliseconds(),
-	}
-	// The fraction uses the complete post-drain counts so numerator and
-	// denominator cover the same poll population.
-	if n := pollCount.Load(); n > 0 {
-		row.FastPollFrac = float64(fastBase.Load()) / float64(n)
-	}
-	return row, nil
-}
-
-// RMIPipelineRow is one RMI concurrency mode's outcome.
-type RMIPipelineRow struct {
-	Mode        string // "serialized" or "pipelined"
-	Callers     int
-	Calls       int // per caller
-	CallsPerSec float64
-	WallMS      int64
-}
-
-// RMIPipelineAblation measures `callers` goroutines sharing ONE RMI
-// connection, each issuing `calls` quiescent polls against a manager
-// with published state — the interactive many-pollers-one-socket
-// pattern. Serialized is the pre-pipelining client (one in-flight call
-// at a time); pipelined tags requests with sequence numbers and lets a
-// reader goroutine match out-of-order replies.
-func RMIPipelineAblation(callers, calls int) ([]RMIPipelineRow, error) {
-	mgr := merge.NewManager()
-	tree := aida.NewTree()
-	h, err := tree.H1D("/a", "h", "", 100, 0, 100)
-	if err != nil {
-		return nil, err
-	}
-	for f := 0; f < 500; f++ {
-		h.Fill(float64(f % 100))
-	}
-	d, err := tree.FullDelta()
-	if err != nil {
-		return nil, err
-	}
-	var rep merge.PublishReply
-	if err := mgr.Publish(merge.PublishArgs{SessionID: "s", WorkerID: "w", Seq: 1, Delta: d}, &rep); err != nil {
-		return nil, err
-	}
-	srv := rmi.NewServer(nil)
-	if err := srv.Register(merge.RMIObjectName, mgr); err != nil {
-		return nil, err
-	}
-	addr, err := srv.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-
-	var out []RMIPipelineRow
-	for _, mode := range []string{"serialized", "pipelined"} {
-		var opts []rmi.Option
-		if mode == "serialized" {
-			opts = append(opts, rmi.WithSerializedCalls())
-		}
-		client, err := rmi.Dial(addr.String(), "tok", opts...)
-		if err != nil {
-			return nil, err
-		}
-		errs := make(chan error, callers)
-		start := time.Now()
-		for c := 0; c < callers; c++ {
-			go func() {
-				for i := 0; i < calls; i++ {
-					var reply merge.PollReply
-					if err := client.Call(merge.RMIObjectName+".Poll", merge.PollArgs{
-						SessionID: "s", SinceVersion: rep.Version,
-					}, &reply); err != nil {
-						errs <- err
-						return
-					}
-				}
-				errs <- nil
-			}()
-		}
-		var firstErr error
-		for c := 0; c < callers; c++ {
-			if err := <-errs; err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		wall := time.Since(start)
-		client.Close()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		secs := wall.Seconds()
-		if secs <= 0 {
-			secs = 1e-9
-		}
-		out = append(out, RMIPipelineRow{
-			Mode: mode, Callers: callers, Calls: calls,
-			CallsPerSec: float64(callers*calls) / secs,
-			WallMS:      wall.Milliseconds(),
-		})
-	}
-	return out, nil
-}
-
-// A11 — placement as a subsystem. (a) RCU routing: the Router's owner
-// resolution is one atomic placement-table load vs the retained
-// mutex-per-call baseline — the fabric's last global serialization
-// point. (b) Load-weighted rebalancing: a Balancer probing lock-free
-// per-session publish+poll rates migrates the hottest sessions off an
-// overloaded shard. (c) Fault re-homing: a killed shard is detected by
+// A11 — placement as a subsystem. (a) RCU routing: quiescent-poll
+// throughput through a Router whose owner resolution is one atomic
+// placement-table load, with no global lock on the read path. (b)
+// Load-weighted rebalancing: a Balancer probing lock-free per-session
+// publish+poll rates migrates the hottest sessions off an overloaded
+// shard. (c) Fault re-homing: a killed shard is detected by
 // the Health prober, its sessions re-home lazily, and the engines'
 // re-baseline restores every update.
 
-// RouteAblationRow is one routing mode's outcome.
+// RouteAblationRow is the routing outcome.
 type RouteAblationRow struct {
-	Mode     string // "locked" or "rcu"
 	Shards   int
 	Sessions int
 	Pollers  int // per session
@@ -1073,79 +590,73 @@ type RouteAblationRow struct {
 }
 
 // RouteAblation hammers a router of `shards` managers with
-// sessions×pollers goroutines, each issuing `polls` quiescent polls,
-// with owner resolution locked vs RCU.
-func RouteAblation(shards, sessions, pollers, polls int) ([]RouteAblationRow, error) {
-	var out []RouteAblationRow
-	for _, mode := range []string{"locked", "rcu"} {
-		router := shard.NewRouter(0)
-		router.LockedRouting = mode == "locked"
-		for i := 0; i < shards; i++ {
-			if err := router.AddShard(fmt.Sprintf("shard%02d", i), merge.NewManager()); err != nil {
-				return nil, err
-			}
+// sessions×pollers goroutines, each issuing `polls` quiescent polls.
+func RouteAblation(shards, sessions, pollers, polls int) (RouteAblationRow, error) {
+	router := shard.NewRouter(0)
+	for i := 0; i < shards; i++ {
+		if err := router.AddShard(fmt.Sprintf("shard%02d", i), merge.NewManager()); err != nil {
+			return RouteAblationRow{}, err
 		}
-		versions := make([]int64, sessions)
-		for s := 0; s < sessions; s++ {
-			tree := aida.NewTree()
-			h, err := tree.H1D("/a", "h", "", 100, 0, 100)
-			if err != nil {
-				return nil, err
-			}
-			for f := 0; f < 200; f++ {
-				h.Fill(float64(f % 100))
-			}
-			d, err := tree.FullDelta()
-			if err != nil {
-				return nil, err
-			}
-			var rep merge.PublishReply
-			if err := router.Publish(merge.PublishArgs{
-				SessionID: fmt.Sprintf("sess-%02d", s), WorkerID: "w0", Seq: 1, Delta: d,
-			}, &rep); err != nil {
-				return nil, err
-			}
-			versions[s] = rep.Version
-		}
-		errs := make(chan error, sessions*pollers)
-		start := time.Now()
-		for s := 0; s < sessions; s++ {
-			sid := fmt.Sprintf("sess-%02d", s)
-			since := versions[s]
-			for p := 0; p < pollers; p++ {
-				go func() {
-					for i := 0; i < polls; i++ {
-						var reply merge.PollReply
-						if err := router.Poll(merge.PollArgs{SessionID: sid, SinceVersion: since}, &reply); err != nil {
-							errs <- err
-							return
-						}
-					}
-					errs <- nil
-				}()
-			}
-		}
-		var firstErr error
-		for i := 0; i < sessions*pollers; i++ {
-			if err := <-errs; err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		wall := time.Since(start)
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		secs := wall.Seconds()
-		if secs <= 0 {
-			secs = 1e-9
-		}
-		out = append(out, RouteAblationRow{
-			Mode: mode, Shards: shards, Sessions: sessions, Pollers: pollers, Polls: polls,
-			PollsPerSec: float64(sessions*pollers*polls) / secs,
-			WallMS:      wall.Milliseconds(),
-		})
 	}
-	return out, nil
+	versions := make([]int64, sessions)
+	for s := 0; s < sessions; s++ {
+		tree := aida.NewTree()
+		h, err := tree.H1D("/a", "h", "", 100, 0, 100)
+		if err != nil {
+			return RouteAblationRow{}, err
+		}
+		for f := 0; f < 200; f++ {
+			h.Fill(float64(f % 100))
+		}
+		d, err := tree.FullDelta()
+		if err != nil {
+			return RouteAblationRow{}, err
+		}
+		var rep merge.PublishReply
+		if err := router.Publish(merge.PublishArgs{
+			SessionID: fmt.Sprintf("sess-%02d", s), WorkerID: "w0", Seq: 1, Delta: d,
+		}, &rep); err != nil {
+			return RouteAblationRow{}, err
+		}
+		versions[s] = rep.Version
+	}
+	errs := make(chan error, sessions*pollers)
+	start := time.Now()
+	for s := 0; s < sessions; s++ {
+		sid := fmt.Sprintf("sess-%02d", s)
+		since := versions[s]
+		for p := 0; p < pollers; p++ {
+			go func() {
+				for i := 0; i < polls; i++ {
+					var reply merge.PollReply
+					if err := router.Poll(merge.PollArgs{SessionID: sid, SinceVersion: since}, &reply); err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+	}
+	var firstErr error
+	for i := 0; i < sessions*pollers; i++ {
+		if err := <-errs; err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	wall := time.Since(start)
+	if firstErr != nil {
+		return RouteAblationRow{}, firstErr
+	}
+	secs := wall.Seconds()
+	if secs <= 0 {
+		secs = 1e-9
+	}
+	return RouteAblationRow{
+		Shards: shards, Sessions: sessions, Pollers: pollers, Polls: polls,
+		PollsPerSec: float64(sessions*pollers*polls) / secs,
+		WallMS:      wall.Milliseconds(),
+	}, nil
 }
 
 // RebalanceAblationRow is one rebalance mode's outcome.

@@ -1,12 +1,11 @@
-// A13 — multicore raw-speed sweep. Every prior ablation measured
-// mechanism against mechanism at whatever parallelism the host gave
-// it; this one pins GOMAXPROCS and sweeps it, measuring the four hot
-// paths this PR rebuilt — bulk fills, coalesced publishes, the binary
-// RMI envelope, and pooled poll-frame decodes — each against its
-// retained baseline (scalar fills, one-call-per-publish, gob envelope,
-// unpooled frames). The rows are only as honest as the host: a 1-CPU
-// container produces a single Procs=1 row and no scaling claim (the
-// BENCH env block records the hardware for exactly this reason).
+// A13 — multicore raw-speed sweep. Every other ablation measures
+// mechanism against mechanism at whatever parallelism the host gives
+// it; this one pins GOMAXPROCS and sweeps it, measuring four hot paths
+// — bulk fills (against the scalar Fill loop), group-commit coalesced
+// publishes, RMI round trips, and pooled poll-frame decodes. The rows
+// are only as honest as the host: a 1-CPU container produces a single
+// Procs=1 row and no scaling claim (the BENCH env block records the
+// hardware for exactly this reason).
 package perf
 
 import (
@@ -32,23 +31,17 @@ type McoreRow struct {
 
 	// Publish+poll fabric: aggregate operations/s (publishes + polls)
 	// against a sharded router over loopback RMI, publishes coalesced by
-	// a group-commit Batcher vs the same load one call per publish.
-	BatchedOpsPerSec   float64
-	UnbatchedOpsPerSec float64
-	// CoalesceFactor is the realized publishes-per-batch in the batched
-	// run.
+	// a group-commit Batcher.
+	BatchedOpsPerSec float64
+	// CoalesceFactor is the realized publishes-per-batch.
 	CoalesceFactor float64
 
-	// RMI round trips: calls/s over loopback TCP with the binary v2
-	// envelope vs the gob envelope.
-	V2CallsPerSec  float64
-	GobCallsPerSec float64
+	// RMI round trips: calls/s over loopback TCP.
+	CallsPerSec float64
 
-	// Poll-frame decode: heap allocations per wire-frame decode with the
-	// pooled free list vs the unpooled baseline (0 vs ≥1 in steady
-	// state).
-	PooledAllocsPerDecode   float64
-	UnpooledAllocsPerDecode float64
+	// Poll-frame decode: heap allocations per wire-frame decode through
+	// the pooled free list (0 in steady state).
+	AllocsPerDecode float64
 }
 
 // MulticoreSweep measures one McoreRow per entry of procs (each capped
@@ -74,34 +67,24 @@ func MulticoreSweep(procs []int, fills, sessions, rounds, objects, calls int) ([
 		seen[p] = true
 		runtime.GOMAXPROCS(p)
 		row := McoreRow{Procs: p}
-		// Single-shot rates on a busy shared host swing ±30%, easily
-		// inverting a comparison; run each new-path/baseline pair
-		// back-to-back three times (so host drift hits both modes alike)
-		// and keep per-mode medians.
-		var fillns, scalars, batched, factors, unbatched, v2s, gobs [reps]float64
+		// Single-shot rates on a busy shared host swing ±30%; run each
+		// measurement three times and keep the medians.
+		var fillns, scalars, batched, factors, callRates [reps]float64
 		for i := 0; i < reps; i++ {
 			fillns[i], scalars[i] = fillRates(p, fills)
 			var err error
-			if batched[i], factors[i], err = pubPollRate(p, sessions, rounds, objects, false); err != nil {
+			if batched[i], factors[i], err = pubPollRate(p, sessions, rounds, objects); err != nil {
 				return nil, err
 			}
-			if unbatched[i], _, err = pubPollRate(p, sessions, rounds, objects, true); err != nil {
-				return nil, err
-			}
-			if v2s[i], err = rmiCallRate(p, calls, false); err != nil {
-				return nil, err
-			}
-			if gobs[i], err = rmiCallRate(p, calls, true); err != nil {
+			if callRates[i], err = rmiCallRate(p, calls); err != nil {
 				return nil, err
 			}
 		}
 		row.FillNPerSec, row.ScalarPerSec = median(fillns), median(scalars)
 		row.BatchedOpsPerSec, row.CoalesceFactor = median(batched), median(factors)
-		row.UnbatchedOpsPerSec = median(unbatched)
-		row.V2CallsPerSec, row.GobCallsPerSec = median(v2s), median(gobs)
+		row.CallsPerSec = median(callRates)
 		var err error
-		row.PooledAllocsPerDecode, row.UnpooledAllocsPerDecode, err = decodeAllocs()
-		if err != nil {
+		if row.AllocsPerDecode, err = decodeAllocs(); err != nil {
 			return nil, err
 		}
 		out = append(out, row)
@@ -109,7 +92,7 @@ func MulticoreSweep(procs []int, fills, sessions, rounds, objects, calls int) ([
 	return out, nil
 }
 
-// reps is how many times each measurement pair repeats per row.
+// reps is how many times each measurement repeats per row.
 const reps = 3
 
 func median(xs [reps]float64) float64 {
@@ -163,10 +146,10 @@ func fillRates(p, fills int) (filln, scalar float64) {
 // a sharded router served over loopback RMI (the deployment shape:
 // engines reach the merge fabric through a shared pipelined
 // connection). Publishes go through a shared group-commit Batcher, so
-// whatever queues during one PublishBatch round trip rides the next;
-// disabled selects the one-call-per-publish ablation. Returns
-// aggregate (publishes+polls)/s and the realized coalescing factor.
-func pubPollRate(p, sessions, rounds, objects int, disabled bool) (float64, float64, error) {
+// whatever queues during one PublishBatch round trip rides the next.
+// Returns aggregate (publishes+polls)/s and the realized coalescing
+// factor.
+func pubPollRate(p, sessions, rounds, objects int) (float64, float64, error) {
 	router := shard.NewRouter(0)
 	shards := p
 	if shards < 1 {
@@ -191,9 +174,7 @@ func pubPollRate(p, sessions, rounds, objects int, disabled bool) (float64, floa
 		return 0, 0, err
 	}
 	defer client.Close()
-	batcher := merge.NewBatcher(merge.NewRemotePublisher(client, ""), merge.BatcherOptions{
-		Disabled: disabled,
-	})
+	batcher := merge.NewBatcher(merge.NewRemotePublisher(client, ""), merge.BatcherOptions{})
 	defer batcher.Close()
 	errs := make(chan error, sessions)
 	start := time.Now()
@@ -261,9 +242,8 @@ func pubPollRate(p, sessions, rounds, objects int, disabled bool) (float64, floa
 }
 
 // rmiCallRate measures quiescent-poll round trips/s over loopback with
-// p concurrent callers sharing one pipelined connection, under the v2
-// or (gob=true) the gob envelope.
-func rmiCallRate(p, calls int, gob bool) (float64, error) {
+// p concurrent callers sharing one pipelined connection.
+func rmiCallRate(p, calls int) (float64, error) {
 	mgr := merge.NewManager()
 	tree := aida.NewTree()
 	h, err := tree.H1D("/a", "h", "", 100, 0, 100)
@@ -290,11 +270,7 @@ func rmiCallRate(p, calls int, gob bool) (float64, error) {
 		return 0, err
 	}
 	defer srv.Close()
-	var opts []rmi.Option
-	if gob {
-		opts = append(opts, rmi.WithGobEnvelope())
-	}
-	client, err := rmi.Dial(addr.String(), "tok", opts...)
+	client, err := rmi.Dial(addr.String(), "tok")
 	if err != nil {
 		return 0, err
 	}
@@ -328,41 +304,35 @@ func rmiCallRate(p, calls int, gob bool) (float64, error) {
 }
 
 // decodeAllocs measures heap allocations per wire-frame decode (the
-// client side of a warm poll) with the pooled free list on and off.
-// Pooled steady state is allocation-free: the decode copies into a
-// recycled buffer and Release returns it.
-func decodeAllocs() (pooled, unpooled float64, err error) {
+// client side of a warm poll). Steady state is allocation-free: the
+// decode copies into a recycled buffer and Release returns it.
+func decodeAllocs() (float64, error) {
 	h := aida.NewHistogram1D("h", "", 100, 0, 100)
 	for f := 0; f < 1000; f++ {
 		h.Fill(float64(f % 100))
 	}
 	st, err := aida.StateOf(h)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	frame, err := aida.EncodeObjectFrame(&st)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	raw := append([]byte(nil), frame...)
-	measure := func(pooling bool) float64 {
-		aida.SetFramePooling(pooling)
-		defer aida.SetFramePooling(true)
-		// Warm the free list so the measurement sees steady state.
-		var f aida.ObjectFrame
-		for i := 0; i < 16; i++ {
-			f.GobDecode(raw)
-			f.Release()
-		}
-		const n = 2000
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < n; i++ {
-			f.GobDecode(raw)
-			f.Release()
-		}
-		runtime.ReadMemStats(&m1)
-		return float64(m1.Mallocs-m0.Mallocs) / n
+	// Warm the free list so the measurement sees steady state.
+	var f aida.ObjectFrame
+	for i := 0; i < 16; i++ {
+		f.GobDecode(raw)
+		f.Release()
 	}
-	return measure(true), measure(false), nil
+	const n = 2000
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < n; i++ {
+		f.GobDecode(raw)
+		f.Release()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.Mallocs-m0.Mallocs) / n, nil
 }

@@ -49,7 +49,7 @@ func ObsOverheadAblation(sessions, rounds, objects int) (ObsRow, error) {
 	row := ObsRow{Sessions: sessions, Rounds: rounds, Objects: objects}
 	measure := func(disabled bool) (float64, error) {
 		obs.SetDisabled(disabled)
-		r, _, err := pubPollRate(1, sessions, rounds, objects, false)
+		r, _, err := pubPollRate(1, sessions, rounds, objects)
 		return r, err
 	}
 	for _, warm := range []bool{false, true} {

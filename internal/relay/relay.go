@@ -108,6 +108,10 @@ type subscription struct {
 	// the total across transport replacements (guarded by syncMu).
 	rebaselines atomic.Int64
 	rebaseBase  int64
+	// synced is set once an exchange has completed (or found the
+	// upstream unchanged), so auto-subscribing polls know whether the
+	// local copy is fresh enough to serve.
+	synced atomic.Bool
 
 	stop chan struct{}
 	done chan struct{}
@@ -208,6 +212,7 @@ func (r *Relay) syncOnce(s *subscription) error {
 		err := r.syncLocked(s)
 		switch {
 		case err == nil || errors.Is(err, errUnchanged):
+			s.synced.Store(true)
 			return nil
 		case errors.Is(err, errEpochFlip) && attempt == 0:
 			// The upstream state was rebuilt under us (failover
@@ -381,11 +386,13 @@ func (r *Relay) Poll(args merge.PollArgs, reply *merge.PollReply) error {
 	r.downPolls.Add(1)
 	obsDownPolls.Inc()
 	if r.AutoSubscribe {
-		if _, ok := r.subs.Load(args.SessionID); !ok {
+		if v, ok := r.subs.Load(args.SessionID); !ok || !v.(*subscription).synced.Load() {
 			if err := r.Subscribe(args.SessionID); err != nil {
 				return err
 			}
-			// Serve the first poll fresh rather than empty.
+			// Serve the first poll fresh rather than empty — also when a
+			// concurrent poll opened the subscription and its first
+			// exchange is still in flight: SyncNow waits for it.
 			if err := r.SyncNow(args.SessionID); err != nil {
 				return err
 			}

@@ -1,21 +1,18 @@
-// Envelope v2: a hand-rolled length-prefixed binary header replacing
-// the reflection-gob request/response framing. The payloads (args and
-// replies) still ride a persistent per-connection gob stream — the big
-// states inside them already use the aida binary codec via their
-// GobEncode hooks — but the per-call header shrinks from a reflected
-// struct encode to a dozen appended bytes, and every payload is length
+// The wire envelope: a hand-rolled length-prefixed binary header per
+// call. The payloads (args and replies) ride a persistent
+// per-connection gob stream — the big states inside them already use
+// the aida binary codec via their GobEncode hooks — while the per-call
+// header is a dozen appended bytes, and every payload is length
 // prefixed, so error responses need no placeholder body and a receiver
 // can skip a frame without decoding it.
 //
-// Negotiation: a dialing client sends the 4-byte magic "IPA2" before
-// anything else; a v2-capable server peeks it, echoes it back, and
-// both sides switch to binary framing. An old peer chokes on the magic
-// (its gob decoder kills the connection) or never acks, so the client
-// falls back: it redials speaking plain gob and remembers the
-// downgrade for later reconnects. WithGobEnvelope skips negotiation
-// entirely — the retained ablation baseline (A13).
+// Handshake: a dialing client sends the 4-byte magic "IPA2" before
+// anything else; the server reads it and echoes it back. A server that
+// sees anything else drops the connection, and a client whose magic is
+// not acknowledged (wrong bytes, a closed connection, or silence past
+// handshakeTimeout) fails the dial — there is no downgrade.
 //
-// v2 frame layout (uvarint = unsigned varint, str = uvarint len + bytes):
+// Frame layout (uvarint = unsigned varint, str = uvarint len + bytes):
 //
 //	request:  'Q' seq(uvarint) object(str) method(str) token(str)
 //	          tflag(1B; 0=untraced 1=traced)
@@ -25,10 +22,8 @@
 //	          status 1: msg(str)          — no payload
 //	          status 0: n(uvarint) payload(n)
 //
-// The trace block is this repo's only v2 revision so far; both ends of
-// a v2 connection ship together, so no flag negotiation is needed (gob
-// peers never see v2 frames — they carry the trace as an optional gob
-// struct field instead).
+// The trace block is the envelope's only revision so far; both ends of
+// a connection ship together, so no flag negotiation is needed.
 package rmi
 
 import (
@@ -46,7 +41,7 @@ import (
 	"github.com/ipa-grid/ipa/internal/obs"
 )
 
-var v2Magic = [4]byte{'I', 'P', 'A', '2'}
+var envelopeMagic = [4]byte{'I', 'P', 'A', '2'}
 
 const (
 	frameRequest = 'Q'
@@ -63,28 +58,41 @@ const (
 	maxPooledWire = 1 << 20
 )
 
-// v2AckTimeout bounds the wait for the server's negotiation ack. An
-// old gob peer usually kills the connection instead (instant error);
-// the deadline covers peers that merely go silent.
-var v2AckTimeout = 3 * time.Second
+// handshakeTimeout bounds the client's wait for the server's ack; a
+// peer that is not an RMI server usually closes the connection
+// instead, and the deadline covers peers that merely go silent.
+var handshakeTimeout = 3 * time.Second
 
-// clientNegotiateV2 runs the dial-time handshake on a fresh
-// connection. Any failure means "old peer" to the caller.
-func clientNegotiateV2(conn net.Conn) error {
-	if _, err := conn.Write(v2Magic[:]); err != nil {
+// clientHandshake sends the magic on a fresh connection and waits for
+// the server to echo it.
+func clientHandshake(conn net.Conn) error {
+	if _, err := conn.Write(envelopeMagic[:]); err != nil {
 		return err
 	}
-	conn.SetReadDeadline(time.Now().Add(v2AckTimeout))
+	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	var ack [4]byte
 	_, err := io.ReadFull(conn, ack[:])
 	conn.SetReadDeadline(time.Time{})
 	if err != nil {
 		return err
 	}
-	if ack != v2Magic {
+	if ack != envelopeMagic {
 		return errors.New("rmi: bad envelope ack")
 	}
 	return nil
+}
+
+// serverHandshake reads a fresh connection's magic and acknowledges it.
+func serverHandshake(conn net.Conn, br *bufio.Reader) error {
+	var magic [4]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return err
+	}
+	if magic != envelopeMagic {
+		return errors.New("rmi: bad envelope magic")
+	}
+	_, err := conn.Write(envelopeMagic[:])
+	return err
 }
 
 // byteFeeder hands a persistent gob decoder exactly one frame's
@@ -161,11 +169,10 @@ func readPayload(br *bufio.Reader, buf *[]byte) ([]byte, error) {
 
 // --- server side ---
 
-// serveV2 is the binary-envelope read loop: the v2 counterpart of the
-// gob loop in serveConn. Argument decode stays inline (the loop owns
-// the payload gob stream); handlers run in their own goroutines
-// exactly like the gob path.
-func (s *Server) serveV2(conn net.Conn, br *bufio.Reader, w *connWriter, handlers *sync.WaitGroup) {
+// readRequests is a server connection's read loop. Argument decode
+// stays inline (the loop owns the payload gob stream); handlers run in
+// their own goroutines.
+func (s *Server) readRequests(br *bufio.Reader, w *connWriter, handlers *sync.WaitGroup) {
 	slots := make(chan struct{}, maxInFlightPerConn)
 	feed := &byteFeeder{}
 	pdec := gob.NewDecoder(feed)
@@ -199,24 +206,22 @@ func (s *Server) serveV2(conn net.Conn, br *bufio.Reader, w *connWriter, handler
 		if err != nil {
 			return
 		}
-		if !s.dispatchV2(seq, object, method, token, tc, body, feed, pdec, w, handlers, slots) {
+		if !s.dispatch(seq, object, method, token, tc, body, feed, pdec, w, handlers, slots) {
 			return
 		}
 	}
 }
 
-// dispatchV2 resolves and launches one v2 request. The payload is
-// already consumed off the wire, so unlike the gob path a rejected
-// call needs no drain and cannot desynchronize the stream. Returns
-// false when the connection must drop (payload gob state poisoned, or
-// an injected crash).
-func (s *Server) dispatchV2(seq uint64, object, method, token string, trace obs.TraceContext, payload []byte,
+// dispatch resolves and launches one request. The payload is already
+// consumed off the wire, so a rejected call cannot desynchronize the
+// stream. Returns false when the connection must drop (payload gob
+// state poisoned, or an injected crash).
+func (s *Server) dispatch(seq uint64, object, method, token string, trace obs.TraceContext, payload []byte,
 	feed *byteFeeder, pdec *gob.Decoder, w *connWriter, handlers *sync.WaitGroup, slots chan struct{}) bool {
 	fail := func(msg string) bool {
 		// The payload still carries this call's share of the persistent
 		// gob stream's type definitions; run it through the decoder (into
-		// a throwaway, like the gob path's drain) so later calls reusing
-		// those types still decode.
+		// a throwaway) so later calls reusing those types still decode.
 		feed.set(payload)
 		var discard any
 		pdec.Decode(&discard)
@@ -257,8 +262,7 @@ func (s *Server) dispatchV2(seq uint64, object, method, token string, trace obs.
 	argp := reflect.New(m.argType)
 	if err := pdec.DecodeValue(argp); err != nil || feed.remaining() != 0 {
 		// The persistent payload gob stream may hold partial type state;
-		// drop the connection rather than trust it (same rule as gob
-		// envelope desync).
+		// drop the connection rather than trust it.
 		w.writeError(seq, "rmi: decoding argument")
 		return false
 	}
@@ -273,20 +277,36 @@ func (s *Server) dispatchV2(seq uint64, object, method, token string, trace obs.
 			handlers.Done()
 		}()
 		t0 := obs.Now()
-		reply := reflect.New(m.replyType)
-		out := m.fn.Call([]reflect.Value{argp.Elem(), reply})
+		reply, err := m.call(target, argp.Elem())
 		if !t0.IsZero() {
 			d := time.Since(t0)
 			m.hist.Observe(d.Seconds())
 			obs.RecordSpan(tc, target, d)
 		}
-		if errv := out[0].Interface(); errv != nil {
-			w.writeError(seq, errv.(error).Error())
+		if err != nil {
+			w.writeError(seq, err.Error())
 			return
 		}
 		w.writeReply(seq, reply)
 	}()
 	return true
+}
+
+// call runs the handler for target. A panic in the handler becomes the
+// call's error, so a faulty method — or an argument it chokes on —
+// fails only its own call, never the connection or the process.
+func (m *methodInfo) call(target string, arg reflect.Value) (reply reflect.Value, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			handlerPanics.Inc()
+			err = fmt.Errorf("rmi: %s panicked: %v", target, r)
+		}
+	}()
+	reply = reflect.New(m.replyType)
+	if errv := m.fn.Call([]reflect.Value{arg, reply})[0].Interface(); errv != nil {
+		return reply, errv.(error)
+	}
+	return reply, nil
 }
 
 // readTraceBlock parses the optional request trace block: one flag
@@ -317,8 +337,10 @@ func readTraceBlock(br *bufio.Reader) (obs.TraceContext, error) {
 	return tc, nil
 }
 
-// writeErrorV2 emits an error response frame. Caller holds w.mu.
-func (w *connWriter) writeErrorV2(seq uint64, msg string) {
+// writeError emits an error response frame.
+func (w *connWriter) writeError(seq uint64, msg string) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	hdr := w.scratch[:0]
 	hdr = append(hdr, frameReply)
 	hdr = binary.AppendUvarint(hdr, seq)
@@ -334,11 +356,12 @@ func (w *connWriter) writeErrorV2(seq uint64, msg string) {
 	}
 }
 
-// writeReplyV2 emits a success response frame: the reply value is gob
+// writeReply emits a success response frame: the reply value is gob
 // encoded into the connection's persistent payload stream (scratch
 // buffer), then shipped behind a binary header with its length.
-// Caller holds w.mu.
-func (w *connWriter) writeReplyV2(seq uint64, reply reflect.Value) {
+func (w *connWriter) writeReply(seq uint64, reply reflect.Value) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	w.pbuf.Reset()
 	if w.penc.EncodeValue(reply) != nil {
 		w.fail()
@@ -365,10 +388,10 @@ func (w *connWriter) writeReplyV2(seq uint64, reply reflect.Value) {
 
 // --- client side ---
 
-// writeRequestV2 encodes args into the connection's persistent payload
+// writeRequest encodes args into the connection's persistent payload
 // gob stream and ships them behind a binary request header. Caller
 // holds cc.wmu.
-func (cc *clientConn) writeRequestV2(seq uint64, object, method, token string, trace obs.TraceContext, args any) error {
+func (cc *clientConn) writeRequest(seq uint64, object, method, token string, trace obs.TraceContext, args any) error {
 	cc.pbuf.Reset()
 	if err := cc.penc.Encode(args); err != nil {
 		return err
@@ -398,11 +421,12 @@ func (cc *clientConn) writeRequestV2(seq uint64, object, method, token string, t
 	return cc.bw.Flush()
 }
 
-// readLoopV2 is the binary-envelope response loop: headers are
-// hand-parsed, reply payloads decode through the connection's
-// persistent gob stream straight into the caller's reply value — same
-// matching and poisoning discipline as the gob read loop.
-func (c *Client) readLoopV2(cc *clientConn) {
+// readLoop owns cc's read side: headers are hand-parsed, each response
+// is matched to its pending call by sequence number, and reply payloads
+// decode through the connection's persistent gob stream straight into
+// the caller's reply value. Any read or decode failure poisons the
+// connection — the payload gob stream cannot be resynchronized.
+func (c *Client) readLoop(cc *clientConn) {
 	feed := &byteFeeder{}
 	pdec := gob.NewDecoder(feed)
 	var payload []byte

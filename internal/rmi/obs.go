@@ -1,5 +1,5 @@
 // Telemetry hooks for the RMI layer: per-method call latency on both
-// ends, connection counts by negotiated envelope, dial retries, and
+// ends, connection counts, dial retries, handler panics, and
 // injected-fault counts. Recording is a handful of atomics per call and
 // collapses to nothing under the obs ablation switch.
 
@@ -12,14 +12,12 @@ import (
 )
 
 var (
-	clientConnsV2 = obs.GetCounter("ipa_rmi_client_connects_total",
-		"RMI client connections established, by negotiated envelope.", "envelope", "v2")
-	clientConnsGob = obs.GetCounter("ipa_rmi_client_connects_total",
-		"RMI client connections established, by negotiated envelope.", "envelope", "gob")
-	serverConnsV2 = obs.GetCounter("ipa_rmi_server_connects_total",
-		"RMI server connections accepted, by negotiated envelope.", "envelope", "v2")
-	serverConnsGob = obs.GetCounter("ipa_rmi_server_connects_total",
-		"RMI server connections accepted, by negotiated envelope.", "envelope", "gob")
+	clientConns = obs.GetCounter("ipa_rmi_client_connects_total",
+		"RMI client connections established.")
+	serverConns = obs.GetCounter("ipa_rmi_server_connects_total",
+		"RMI server connections accepted.")
+	handlerPanics = obs.GetCounter("ipa_rmi_handler_panics_total",
+		"RMI handler panics turned into error replies.")
 	dialRetries = obs.GetCounter("ipa_rmi_client_dial_retries_total",
 		"RMI dial attempts beyond the first (WithRetry backoff redials).")
 	faultErrors = obs.GetCounter("ipa_rmi_faults_injected_total",

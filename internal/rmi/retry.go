@@ -108,8 +108,8 @@ func (c *Client) connRetryLocked(ctx context.Context) (*clientConn, error) {
 			if aerr == nil {
 				return cc, nil
 			}
-			// Adoption only fails on the gob-fallback redial; retry it
-			// like any other dial failure.
+			// An unacknowledged handshake is a dial failure; retry it
+			// like any other.
 			err = aerr
 		}
 		lastErr = err

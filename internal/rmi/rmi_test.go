@@ -321,44 +321,40 @@ func TestPipelinedOutOfOrderReplies(t *testing.T) {
 // goroutines (run under -race): every reply must reach exactly the
 // caller that asked for it.
 func TestPipelinedCallsMatchCallers(t *testing.T) {
-	for _, serialized := range []bool{false, true} {
-		t.Run(fmt.Sprintf("serialized=%v", serialized), func(t *testing.T) {
-			_, addr := startServer(t, nil)
-			var opts []Option
-			if serialized {
-				opts = append(opts, WithSerializedCalls())
-			}
-			c, err := Dial(addr, "tok", opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			var wg sync.WaitGroup
-			for g := 0; g < 8; g++ {
-				g := g
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < 50; i++ {
-						want := echoArgs{
-							Msg:  fmt.Sprintf("g%d-i%d", g, i),
-							Nums: []int{g, i},
-						}
-						var got echoArgs
-						if err := c.Call("Echo.Echo", want, &got); err != nil {
-							t.Error(err)
-							return
-						}
-						if got.Msg != want.Msg || len(got.Nums) != 2 || got.Nums[0] != g || got.Nums[1] != i {
-							t.Errorf("reply %+v does not match request %+v", got, want)
-							return
-						}
+	// The subtest keeps the name it had when a serialized-call mode
+	// existed beside the pipelined one.
+	t.Run("serialized=false", func(t *testing.T) {
+		_, addr := startServer(t, nil)
+		c, err := Dial(addr, "tok")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					want := echoArgs{
+						Msg:  fmt.Sprintf("g%d-i%d", g, i),
+						Nums: []int{g, i},
 					}
-				}()
-			}
-			wg.Wait()
-		})
-	}
+					var got echoArgs
+					if err := c.Call("Echo.Echo", want, &got); err != nil {
+						t.Error(err)
+						return
+					}
+					if got.Msg != want.Msg || len(got.Nums) != 2 || got.Nums[0] != g || got.Nums[1] != i {
+						t.Errorf("reply %+v does not match request %+v", got, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }
 
 // TestPipelinedSlowCallsOverlap: two slow calls on one connection run
@@ -433,4 +429,53 @@ func TestPipelinedErrorsMatchCallers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// crashService's handler panics on every call.
+type crashService struct{}
+
+func (c *crashService) Boom(args addArgs, reply *float64) error {
+	var m map[string]int
+	m["x"] = int(args.A) // nil-map write: a runtime panic in the handler
+	return nil
+}
+
+// TestHandlerPanicIsRemoteError: a panicking handler fails only its own
+// call — the caller gets a RemoteError naming the method, the same
+// connection keeps working, and the server keeps accepting clients.
+func TestHandlerPanicIsRemoteError(t *testing.T) {
+	s, addr := startServer(t, nil)
+	if err := s.Register("Crash", &crashService{}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(addr, "tok")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	before := handlerPanics.Value()
+	var out float64
+	err = c.Call("Crash.Boom", addArgs{A: 1}, &out)
+	var re RemoteError
+	if !errors.As(err, &re) || !strings.Contains(err.Error(), "Crash.Boom") || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("panicking call error = %v, want a RemoteError naming Crash.Boom", err)
+	}
+	if got := handlerPanics.Value() - before; got != 1 {
+		t.Fatalf("handler panic counter moved by %d, want 1", got)
+	}
+	for i := 0; i < 3; i++ {
+		var sum float64
+		if err := c.Call("Calc.Add", addArgs{A: float64(i), B: 1}, &sum); err != nil || sum != float64(i)+1 {
+			t.Fatalf("call %d after the panic = %v, %v", i, sum, err)
+		}
+	}
+	c2, err := Dial(addr, "tok")
+	if err != nil {
+		t.Fatalf("server stopped accepting after a handler panic: %v", err)
+	}
+	defer c2.Close()
+	var sum float64
+	if err := c2.Call("Calc.Add", addArgs{A: 2, B: 2}, &sum); err != nil || sum != 4 {
+		t.Fatalf("fresh client after the panic = %v, %v", sum, err)
+	}
 }

@@ -44,11 +44,11 @@ func startTraceServer(t *testing.T) string {
 	return addr.String()
 }
 
-// testTracePropagation drives one traced and one untraced call and
+// TestTracePropagationV2 drives one traced and one untraced call and
 // checks the server saw a hop-advanced copy of the same trace.
-func testTracePropagation(t *testing.T, opts ...Option) {
+func TestTracePropagationV2(t *testing.T) {
 	addr := startTraceServer(t)
-	c, err := Dial(addr, "tok", opts...)
+	c, err := Dial(addr, "tok")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +85,6 @@ func testTracePropagation(t *testing.T, opts ...Option) {
 		t.Errorf("untraced call arrived traced: %+v", bare.Trace)
 	}
 }
-
-func TestTracePropagationV2(t *testing.T) { testTracePropagation(t) }
-
-func TestTracePropagationGob(t *testing.T) { testTracePropagation(t, WithGobEnvelope()) }
 
 // TestTraceDisabledCostsNothing: with recording ablated, the client
 // must send the untraced (zero) context.

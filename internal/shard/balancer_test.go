@@ -502,25 +502,3 @@ func TestMoveSessionPinnedSurvivesRingEdit(t *testing.T) {
 		t.Fatal("pinned session diverged across ring edits")
 	}
 }
-
-// TestLockedRoutingAblationServes: the retained locked-resolution
-// baseline must behave identically, just slower.
-func TestLockedRoutingAblationServes(t *testing.T) {
-	router := NewRouter(0)
-	router.LockedRouting = true
-	for i := 0; i < 2; i++ {
-		if err := router.AddShard(fmt.Sprintf("shard%02d", i), merge.NewManager()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	flat := merge.NewManager()
-	w := newLoadWorker(t, router, flat, "sess-locked")
-	for i := 0; i < 5; i++ {
-		w.publish(t, float64(i))
-		w.poll(t)
-	}
-	got, want := fullState(t, router, "sess-locked"), fullState(t, flat, "sess-locked")
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("locked-routing fabric diverged from flat merge")
-	}
-}

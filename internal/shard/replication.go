@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/ipa-grid/ipa/internal/aida"
 	"github.com/ipa-grid/ipa/internal/merge"
 	"github.com/ipa-grid/ipa/internal/obs"
 	"github.com/ipa-grid/ipa/internal/shard/placement"
@@ -176,11 +175,6 @@ func (r *Router) mirror(primary string, args merge.PublishArgs, epoch, version i
 		return
 	}
 	delta := args.Delta
-	if delta == nil {
-		// Legacy whole-tree publish (the ablation baseline): forward it
-		// as the full baseline it is.
-		delta = &aida.DeltaState{Full: true, Entries: args.Tree.Entries}
-	}
 	// Walk the chain: each hop is one trace hop deeper than the last,
 	// and a failed hop re-baselines from the nearest healthy predecessor
 	// (the primary for hop 0) without stopping the walk.
