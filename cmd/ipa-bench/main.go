@@ -397,7 +397,7 @@ func run(exp, outDir, jsonPath string, tiny bool) error {
 	}
 	if all || exp == "mcore" {
 		// A13 — multicore raw-speed sweep: bulk fills (vs scalar
-		// fills), coalesced publishes, RMI round trips and pooled frame
+		// fills), publish+poll over RMI, RMI round trips and pooled frame
 		// decodes, per GOMAXPROCS setting. Settings above
 		// runtime.NumCPU are capped: an oversubscribed scheduler must
 		// not masquerade as scaling.
@@ -405,8 +405,8 @@ func run(exp, outDir, jsonPath string, tiny bool) error {
 		fills, sessions, rounds, objects, calls := 1<<20, 8, 120, 16, 2000
 		if tiny {
 			procs = []int{1, runtime.NumCPU()}
-			// Keep 8 sessions even in tiny mode: group-commit coalescing
-			// needs concurrent producers to have anything to coalesce.
+			// Keep 8 sessions even in tiny mode: concurrent producers
+			// share the one pipelined RMI connection.
 			fills, sessions, rounds, objects, calls = 1<<14, 8, 12, 4, 40
 		}
 		rows, err := perf.MulticoreSweep(procs, fills, sessions, rounds, objects, calls)
@@ -414,23 +414,22 @@ func run(exp, outDir, jsonPath string, tiny bool) error {
 			return err
 		}
 		t := &aida.Table{Title: fmt.Sprintf("A13 — multicore raw speed (host has %d CPUs)", runtime.NumCPU()),
-			Columns: []string{"Procs", "FillN/s", "Fill/s", "Batched ops/s", "Coalesce", "RMI calls/s", "Allocs/decode"}}
+			Columns: []string{"Procs", "FillN/s", "Fill/s", "Publish+poll ops/s", "RMI calls/s", "Allocs/decode"}}
 		for _, r := range rows {
 			t.AddRow(fmt.Sprintf("%d", r.Procs),
 				fmt.Sprintf("%.1fM", r.FillNPerSec/1e6), fmt.Sprintf("%.1fM", r.ScalarPerSec/1e6),
-				fmt.Sprintf("%.0f", r.BatchedOpsPerSec), fmt.Sprintf("%.1fx", r.CoalesceFactor),
+				fmt.Sprintf("%.0f", r.PubPollOpsPerSec),
 				fmt.Sprintf("%.0f", r.CallsPerSec), fmt.Sprintf("%.2f", r.AllocsPerDecode))
 			key := fmt.Sprintf("mcore_p%d", r.Procs)
 			metrics[key+"_filln_per_s"] = r.FillNPerSec
 			metrics[key+"_fill_per_s"] = r.ScalarPerSec
-			metrics[key+"_batched_ops_per_s"] = r.BatchedOpsPerSec
-			metrics[key+"_coalesce_factor"] = r.CoalesceFactor
+			metrics[key+"_pubpoll_ops_per_s"] = r.PubPollOpsPerSec
 			metrics[key+"_rmi_v2_calls_per_s"] = r.CallsPerSec
 			metrics[key+"_pooled_allocs_per_decode"] = r.AllocsPerDecode
 		}
 		fmt.Fprintln(w, t.String())
-		if n := len(rows); n > 1 && rows[0].BatchedOpsPerSec > 0 {
-			scale := rows[n-1].BatchedOpsPerSec / rows[0].BatchedOpsPerSec
+		if n := len(rows); n > 1 && rows[0].PubPollOpsPerSec > 0 {
+			scale := rows[n-1].PubPollOpsPerSec / rows[0].PubPollOpsPerSec
 			metrics["mcore_pubpoll_scale"] = scale
 			fmt.Fprintf(w, "publish+poll scaling %d→%d procs: %.2fx\n\n", rows[0].Procs, rows[n-1].Procs, scale)
 		} else if n == 1 {

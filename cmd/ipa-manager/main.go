@@ -12,7 +12,7 @@
 // -http serves the operational plane on one listener: Prometheus-text
 // telemetry at /metrics, the live fabric snapshot (placements, epochs,
 // replicas, recent events) as JSON at /fabric/status, and net/http/pprof
-// under /debug/pprof/. -pprof is a deprecated alias for -http.
+// under /debug/pprof/.
 //
 // -relays starts a read fan-out tier on a sharded fabric (needs
 // -shards > 1): client polls route to delta-subscribing relay mirrors
@@ -70,15 +70,10 @@ func main() {
 	wal := flag.String("wal", "", "directory for per-manager append-only session logs, replayed on restart (\"\" = no durability)")
 	walSync := flag.Int("wal-sync", 64, "fsync the session log every N records (0 = every record)")
 	httpAddr := flag.String("http", "", "serve /metrics, /fabric/status and /debug/pprof/ on this address (e.g. 127.0.0.1:6060; \"\" = off)")
-	pprofAddr := flag.String("pprof", "", "deprecated alias for -http")
 	relays := flag.Int("relays", 0, "read relay count: delta-subscribing mirrors that absorb client polls (0 = off; needs -shards > 1)")
 	relayInterval := flag.Duration("relay-interval", 0, "relay subscription sync cadence (0 = 25ms default)")
 	gateway := flag.String("gateway", "", "serve the HTTP/SSE live-view gateway on this address (e.g. 127.0.0.1:7070; \"\" = off)")
 	flag.Parse()
-	if *httpAddr == "" && *pprofAddr != "" {
-		log.Printf("-pprof is deprecated; use -http")
-		*httpAddr = *pprofAddr
-	}
 
 	grid, err := ipa.NewLocalGrid(ipa.GridOptions{
 		Nodes: *nodes, Insecure: *insecure, Shards: *shards,

@@ -42,19 +42,6 @@ func TestCompressionPolicyRatioSkipAndProbe(t *testing.T) {
 	}
 }
 
-func TestCompressionPolicyForce(t *testing.T) {
-	p := NewCompressionPolicy()
-	p.SetForce(true)
-	p.observe(1000, 1000) // terrible ratio must not matter
-	if !p.shouldCompress(10) {
-		t.Fatal("force did not override size and ratio rules")
-	}
-	p.SetForce(false)
-	if p.shouldCompress(10) {
-		t.Fatal("force off did not restore adaptive rules")
-	}
-}
-
 // bigDelta builds a delta whose plain frame comfortably exceeds the
 // adaptive size floor and compresses well (uniform bin contents).
 func bigDelta(t *testing.T) *DeltaState {
@@ -126,15 +113,4 @@ func TestAdaptiveFrameChoicePerFrame(t *testing.T) {
 		}
 	}
 
-	// The forced override (SetWireCompression) wins over the policy.
-	forced := smallDelta(t)
-	forced.SetCompressionPolicy(p)
-	forced.SetWireCompression(true)
-	fb, err := forced.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fb[0] != wireVersionFlate {
-		t.Fatalf("forced small frame version = %d, want flate %d", fb[0], wireVersionFlate)
-	}
 }

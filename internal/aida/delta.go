@@ -45,21 +45,14 @@ type DeltaState struct {
 	// Removed lists object paths that existed at the previous snapshot
 	// but are gone now (meaningless when Full: a baseline replaces all).
 	Removed []string
-	// compressWire selects the compressed wire frame for this state's
-	// gob encoding — a per-connection transport choice (see
-	// TreeState.SetWireCompression), never part of the content.
-	compressWire bool
-	// policy makes the choice adaptively per frame when compressWire is
-	// not forcing (see SetCompressionPolicy).
+	// policy makes the per-frame wire-compression choice for this
+	// state's gob encoding — a per-connection transport choice (see
+	// SetCompressionPolicy), never part of the content. nil ships plain.
 	policy *CompressionPolicy
 }
 
-// SetWireCompression selects the compressed (version 2) wire frame for
-// this state's gob encoding — the forced override.
-func (d *DeltaState) SetWireCompression(on bool) { d.compressWire = on }
-
 // SetCompressionPolicy hands the frame-version choice to an adaptive
-// per-connection policy (no-op while SetWireCompression forces).
+// per-connection policy.
 func (d *DeltaState) SetCompressionPolicy(p *CompressionPolicy) { d.policy = p }
 
 // Delta emits the objects touched since the previous Delta/FullDelta call

@@ -373,17 +373,7 @@ func (s ObjectState) Restore() (Object, error) {
 // TreeState is a whole tree on the wire.
 type TreeState struct {
 	Entries []TreeEntry
-	// compressWire selects the compressed (version 2) frame for this
-	// state's gob encoding. It is a per-connection transport choice, not
-	// content: decoders accept either frame version, and the flag does
-	// not itself cross the wire.
-	compressWire bool
 }
-
-// SetWireCompression selects the compressed (version 2) wire frame for
-// this state's gob encoding — the per-connection choice for WAN
-// workers dialed with compression on.
-func (st *TreeState) SetWireCompression(on bool) { st.compressWire = on }
 
 // TreeEntry is one object with its full path.
 type TreeEntry struct {
@@ -445,13 +435,13 @@ func (st *TreeState) Restore() (*Tree, error) {
 //
 //	flate frame: ver(1B)=2 rawLen(uvarint) deflate(body)
 //
-// Producers choose the version per connection (WAN workers compress,
-// LAN workers don't); decoders accept both transparently, so the two can
-// coexist mid-rollout.
+// Producers choose the version frame by frame (a connection's adaptive
+// CompressionPolicy compresses large, compressible payloads); decoders
+// accept both transparently.
 
 const (
 	wireVersion      = 1 // plain frame
-	wireVersionFlate = 2 // DEFLATE-compressed body (the WAN snapshot option)
+	wireVersionFlate = 2 // DEFLATE-compressed body
 )
 
 // Object tags in wire frames.
@@ -883,15 +873,7 @@ func AppendTreeState(dst []byte, st *TreeState) ([]byte, error) {
 	return appendEntries(append(dst, wireVersion), st.Entries)
 }
 
-// AppendTreeStateFlate appends st as a compressed (version 2) frame.
-func AppendTreeStateFlate(dst []byte, st *TreeState) ([]byte, error) {
-	return appendFlateFrame(dst, func(b []byte) ([]byte, error) {
-		return appendEntries(b, st.Entries)
-	})
-}
-
-// DecodeTreeState parses a frame produced by AppendTreeState or
-// AppendTreeStateFlate.
+// DecodeTreeState parses a plain or compressed (version 2) tree frame.
 func DecodeTreeState(b []byte) (*TreeState, error) {
 	body, err := openFrame(b, "tree")
 	if err != nil {
@@ -928,8 +910,7 @@ func AppendDeltaState(dst []byte, d *DeltaState) ([]byte, error) {
 }
 
 // AppendDeltaStateFlate appends d as a compressed (version 2) frame —
-// what a WAN-deployed worker's transport puts on the wire when snapshot
-// bytes dominate the link.
+// the frame a CompressionPolicy picks for a large, compressible delta.
 func AppendDeltaStateFlate(dst []byte, d *DeltaState) ([]byte, error) {
 	return appendFlateFrame(dst, func(b []byte) ([]byte, error) {
 		return appendDeltaBody(b, d)
@@ -1108,9 +1089,6 @@ func encodePooled(fn func([]byte) ([]byte, error)) ([]byte, error) {
 // receiver: the RMI client encodes args boxed in an interface, which gob
 // cannot address, and gob rejects pointer-only GobEncoders there.
 func (st TreeState) GobEncode() ([]byte, error) {
-	if st.compressWire {
-		return encodePooled(func(b []byte) ([]byte, error) { return AppendTreeStateFlate(b, &st) })
-	}
 	return encodePooled(func(b []byte) ([]byte, error) { return AppendTreeState(b, &st) })
 }
 
@@ -1127,9 +1105,6 @@ func (st *TreeState) GobDecode(b []byte) error {
 // GobEncode implements gob.GobEncoder via the binary codec (value
 // receiver for the same addressability reason as TreeState).
 func (d DeltaState) GobEncode() ([]byte, error) {
-	if d.compressWire {
-		return encodePooled(func(b []byte) ([]byte, error) { return AppendDeltaStateFlate(b, &d) })
-	}
 	if d.policy != nil {
 		return encodePooled(func(b []byte) ([]byte, error) {
 			return appendPolicyFrame(b, d.policy, func(b []byte) ([]byte, error) {

@@ -175,7 +175,7 @@ func TestFlateFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := AppendTreeStateFlate(nil, st)
+	buf, err := appendTreeStateFlate(nil, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestFlateFrameShrinksSparseSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := AppendTreeStateFlate(nil, st)
+	packed, err := appendTreeStateFlate(nil, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,31 +241,35 @@ func TestFlateFrameShrinksSparseSnapshots(t *testing.T) {
 	t.Logf("plain %d B vs flate %d B (%.1fx)", len(plain), len(packed), float64(len(plain))/float64(len(packed)))
 }
 
-// TestGobHonorsWireCompression: states flagged for compression cross
-// the gob (RMI) path as version-2 frames and decode identically.
+// TestGobHonorsWireCompression: a delta whose connection policy
+// compresses it crosses the gob (RMI) path as a version-2 frame and
+// decodes identically.
 func TestGobHonorsWireCompression(t *testing.T) {
 	st, err := fullTree(t).State()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cst := *st
-	cst.SetWireCompression(true)
+	p := NewCompressionPolicy()
 	cd := &DeltaState{Full: true, Entries: st.Entries}
-	cd.SetWireCompression(true)
-	type frame struct {
-		Tree  TreeState
-		Delta *DeltaState
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(frame{Tree: cst, Delta: cd}); err != nil {
+	cd.SetCompressionPolicy(p)
+	frame, err := cd.GobEncode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	var out frame
+	if frame[0] != wireVersionFlate {
+		t.Fatalf("policy frame version = %d, want flate %d", frame[0], wireVersionFlate)
+	}
+	if c, s := p.Stats(); c != 1 || s != 0 {
+		t.Fatalf("policy stats = %d compressed / %d skipped, want 1/0", c, s)
+	}
+	type msg struct{ Delta *DeltaState }
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(msg{Delta: cd}); err != nil {
+		t.Fatal(err)
+	}
+	var out msg
 	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
 		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(st.Entries, out.Tree.Entries) {
-		t.Fatal("compressed tree gob round trip mismatch")
 	}
 	if out.Delta == nil || !out.Delta.Full || !reflect.DeepEqual(st.Entries, out.Delta.Entries) {
 		t.Fatal("compressed delta gob round trip mismatch")
@@ -278,7 +282,7 @@ func TestFlateFrameCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := AppendTreeStateFlate(nil, st)
+	buf, err := appendTreeStateFlate(nil, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,5 +463,41 @@ func FuzzObjectFrameRestore(f *testing.F) {
 			return
 		}
 		st.Restore()
+	})
+}
+
+// FuzzDeltaStateRestore feeds arbitrary bytes through the publish-delta
+// decoder and Restores every entry — what a merge manager does with
+// each snapshot upload before taking its session lock. Neither step may
+// panic. Seeds: a plain delta of every object kind (added here) plus a
+// policy-compressed version-2 frame, a version-2 frame whose declared
+// raw length is over the inflate cap, and a truncated frame, committed
+// under testdata/fuzz.
+func FuzzDeltaStateRestore(f *testing.F) {
+	st, err := fullTree(f).State()
+	if err != nil {
+		f.Fatal(err)
+	}
+	plain, err := AppendDeltaState(nil, &DeltaState{Entries: st.Entries, Removed: []string{"/gone"}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(plain)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := DecodeDeltaState(data)
+		if err != nil {
+			return
+		}
+		for _, e := range d.Entries {
+			e.Object.Restore()
+		}
+	})
+}
+
+// appendTreeStateFlate appends st as a compressed (version 2) frame, the
+// encoding DecodeTreeState must keep accepting.
+func appendTreeStateFlate(dst []byte, st *TreeState) ([]byte, error) {
+	return appendFlateFrame(dst, func(b []byte) ([]byte, error) {
+		return appendEntries(b, st.Entries)
 	})
 }

@@ -56,7 +56,8 @@ func runShortSession(t *testing.T, g *LocalGrid) {
 
 // TestClosedSessionsReleaseEverything: a closed session leaves nothing
 // behind — no session resource awaiting the sweep, no engine in the grid,
-// and no goroutines for the client's connections.
+// no GRAM job or scheduler record, and no goroutines for the client's
+// connections.
 func TestClosedSessionsReleaseEverything(t *testing.T) {
 	g := newGrid(t, 200)
 	// One warm-up session starts the grid's lazily created goroutines.
@@ -65,6 +66,7 @@ func TestClosedSessionsReleaseEverything(t *testing.T) {
 		t.Fatalf("%d engines retained after the warm-up session", g.liveEngines())
 	}
 	base := runtime.NumGoroutine()
+	baseGram, baseJobs := g.Gram.JobCount(), g.Cluster.JobCount()
 
 	for i := 0; i < 20; i++ {
 		runShortSession(t, g)
@@ -74,6 +76,12 @@ func TestClosedSessionsReleaseEverything(t *testing.T) {
 	}
 	if !waitFor(5*time.Second, func() bool { return g.liveEngines() == 0 }) {
 		t.Errorf("%d engines retained after 20 closed sessions", g.liveEngines())
+	}
+	if n := g.Gram.JobCount(); n != baseGram {
+		t.Errorf("GRAM tracks %d jobs after 20 closed sessions, baseline %d", n, baseGram)
+	}
+	if n := g.Cluster.JobCount(); n != baseJobs {
+		t.Errorf("scheduler holds %d job records after 20 closed sessions, baseline %d", n, baseJobs)
 	}
 	if !waitFor(5*time.Second, func() bool { return runtime.NumGoroutine() <= base }) {
 		buf := make([]byte, 1<<20)

@@ -48,9 +48,6 @@ type Config struct {
 	// SnapshotInterval also publishes when this much time passed since
 	// the last snapshot (default 1s) — the paper's sub-minute feedback.
 	SnapshotInterval time.Duration
-	// CompressSnapshots ships compressed wire frames — the choice for
-	// WAN-deployed workers where snapshot bytes dominate the link.
-	CompressSnapshots bool
 	// Registry resolves native analyses (nil = analysis.Default).
 	Registry *analysis.Registry
 	// GlobalOffset is the absolute index of the part's first record.
@@ -111,7 +108,6 @@ func New(cfg Config) *Engine {
 	e.cond = sync.NewCond(&e.mu)
 	if cfg.Publisher != nil {
 		e.transport = merge.NewTransport(cfg.SessionID, cfg.WorkerID, cfg.Publisher)
-		e.transport.SetCompression(cfg.CompressSnapshots)
 	}
 	return e
 }
@@ -305,12 +301,6 @@ func (e *Engine) Serve() {
 				e.mu.Unlock()
 				return
 			}
-			// Running: initialize if needed, then process one batch.
-			if err := e.ensureInitLocked(); err != nil {
-				e.failLocked(err)
-				e.mu.Unlock()
-				continue
-			}
 			e.mu.Unlock()
 			e.processBatch()
 		}
@@ -356,7 +346,19 @@ const batchSize = 64
 
 func (e *Engine) processBatch() {
 	e.mu.Lock()
-	if e.state != StateRunning || e.reader == nil {
+	if e.state != StateRunning {
+		e.mu.Unlock()
+		return
+	}
+	// Initialize in the same locked section that takes anal and ctx: a
+	// Rewind and Run landing between two lock cycles clear anal while
+	// the state reads Running again.
+	if err := e.ensureInitLocked(); err != nil {
+		e.failLocked(err)
+		e.mu.Unlock()
+		return
+	}
+	if e.reader == nil {
 		e.mu.Unlock()
 		return
 	}

@@ -143,6 +143,29 @@ func (m *JobManager) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
+// Release cancels a job's instances and forgets the job together with
+// its scheduler records (the end of a session). A released job's handle
+// reports StateFailed.
+func (m *JobManager) Release(id string) {
+	m.mu.Lock()
+	j := m.jobs[id]
+	delete(m.jobs, id)
+	m.mu.Unlock()
+	if j == nil {
+		return
+	}
+	for _, p := range j.parts {
+		m.cluster.Forget(p.ID)
+	}
+}
+
+// JobCount reports how many GRAM jobs the manager tracks.
+func (m *JobManager) JobCount() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.jobs)
+}
+
 // State aggregates instance states: Failed if any failed or was cancelled,
 // Done when all finished, Active if any runs, else Pending.
 func (j *Job) State() State {

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/ipa-grid/ipa/internal/aida"
 )
@@ -357,66 +356,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSubMergerFlushInterval: with a large FlushEvery, the jittered
-// time deadline still pushes the group state upstream.
-func TestSubMergerFlushInterval(t *testing.T) {
-	root := NewManager()
-	cap := &capturePublisher{inner: root}
-	sub := NewSubMerger("g", "s", cap, 1000) // count alone would never flush
-	sub.FlushInterval = time.Second
-	now := time.Unix(1000, 0)
-	sub.clock = func() time.Time { return now }
-
-	tree := aida.NewTree()
-	h, _ := tree.H1D("/a", "h", "", 10, 0, 10)
-	pub := func(seq int64) {
-		t.Helper()
-		h.Fill(1)
-		d, err := tree.Delta()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rep PublishReply
-		if err := sub.Publish(PublishArgs{SessionID: "s", WorkerID: "w", Seq: seq, Delta: d}, &rep); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pub(1) // arms the deadline; no flush yet
-	now = now.Add(100 * time.Millisecond)
-	pub(2)
-	if n := len(cap.args); n != 0 {
-		t.Fatalf("flushed %d times before the interval", n)
-	}
-	// Beyond interval + max jitter (20%), the next publish must flush.
-	now = now.Add(1300 * time.Millisecond)
-	pub(3)
-	if n := len(cap.args); n != 1 {
-		t.Fatalf("flushes after deadline = %d, want 1", n)
-	}
-	// Immediately after a flush the deadline is re-armed.
-	pub(4)
-	if n := len(cap.args); n != 1 {
-		t.Fatalf("flushed again immediately after re-arm (%d)", n)
-	}
-	// Deadlines are jittered: two groups with different names draw
-	// different intervals from the same nominal setting.
-	a := NewSubMerger("alpha", "s", root, 1)
-	b := NewSubMerger("beta", "s", root, 1)
-	a.FlushInterval = time.Second
-	b.FlushInterval = time.Second
-	da, db := a.jitteredIntervalLocked(), b.jitteredIntervalLocked()
-	for _, d := range []time.Duration{da, db} {
-		if d < 800*time.Millisecond || d > 1200*time.Millisecond {
-			t.Fatalf("jittered interval %v outside ±20%% of 1s", d)
-		}
-	}
-	if da == db {
-		t.Fatalf("alpha and beta drew identical jitter (%v): deadlines not decorrelated", da)
-	}
-}
-
-// TestTransportAdaptiveCompression: the default transport compresses
-// large frames and skips small ones; SetCompression forces everything.
+// TestTransportAdaptiveCompression: the transport compresses large
+// frames and skips small ones.
 func TestTransportAdaptiveCompression(t *testing.T) {
 	encode := func(args PublishArgs) byte {
 		t.Helper()
@@ -468,25 +409,6 @@ func TestTransportAdaptiveCompression(t *testing.T) {
 	}
 	if c, s := tr2.CompressionStats(); c != 1 {
 		t.Fatalf("transport stats = %d compressed / %d skipped, want 1 compressed", c, s)
-	}
-
-	// Forced mode compresses even the tiny frame.
-	tr3 := NewTransport("s3", "w", publisherFunc(func(args PublishArgs, reply *PublishReply) error {
-		last = args
-		return root.Publish(args, reply)
-	}))
-	tr3.SetCompression(true)
-	small2 := aida.NewTree()
-	h2, _ := small2.H1D("/a", "h", "", 4, 0, 4)
-	h2.Fill(1)
-	if _, err := tr3.Send(func(full bool) (Snapshot, error) {
-		d, err := small2.FullDelta()
-		return Snapshot{Delta: d}, err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if v := encode(last); v != 2 {
-		t.Fatalf("forced small frame version = %d, want flate", v)
 	}
 }
 

@@ -30,10 +30,4 @@ var (
 		"WAL fsync latency in seconds.", nil)
 	obsWALUnsynced = obs.GetGauge("ipa_merge_wal_unsynced_records",
 		"WAL records appended since the last fsync (fsync lag).")
-	obsBatchSize = obs.GetHistogram("ipa_merge_batch_size",
-		"Publishes coalesced per batcher flush.", obs.SizeBuckets)
-	obsBatchFlushes = obs.GetCounter("ipa_merge_batch_flushes_total",
-		"Batcher upstream flushes (PublishBatch or single-publish sends).")
-	obsBatchPublished = obs.GetCounter("ipa_merge_batch_published_total",
-		"Publishes shipped through the batcher (input side of the coalesce ratio).")
 )

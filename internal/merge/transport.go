@@ -41,17 +41,17 @@ type Snapshot struct {
 
 // Transport is the delta-native snapshot uplink for one producer
 // (engine or SubMerger). It owns the generation stamp (PublishArgs.Seq)
-// and the re-baseline state machine, and applies the connection's wire
-// compression choice to outgoing states. Safe for concurrent use;
+// and the re-baseline state machine, and hands outgoing states the
+// connection's adaptive wire-compression policy. Safe for concurrent use;
 // sends are serialized, which the generation ordering requires anyway.
 type Transport struct {
 	mu       sync.Mutex
 	session  string
 	worker   string
 	upstream Publisher
-	// policy makes the per-frame wire-compression choice: adaptive by
-	// default (small or incompressible frames ship plain), forced to
-	// always-compress by SetCompression — the retained WAN override.
+	// policy makes the per-frame wire-compression choice: payloads
+	// under ~1 KiB and streams whose observed ratio stopped paying ship
+	// plain.
 	policy      *aida.CompressionPolicy
 	gen         int64
 	needFull    bool
@@ -65,14 +65,6 @@ func NewTransport(sessionID, workerID string, upstream Publisher) *Transport {
 		session: sessionID, worker: workerID, upstream: upstream,
 		policy: aida.NewCompressionPolicy(),
 	}
-}
-
-// SetCompression forces compressed wire frames on every subsequent send
-// — the WAN-worker override. Off (the default) leaves the choice to the
-// adaptive per-frame policy: payloads under ~1 KiB and streams whose
-// observed ratio stopped paying ship plain.
-func (t *Transport) SetCompression(on bool) {
-	t.policy.SetForce(on)
 }
 
 // CompressionStats reports how many frames the transport's adaptive
@@ -141,10 +133,7 @@ func (t *Transport) Send(build func(full bool) (Snapshot, error)) (PublishReply,
 }
 
 // RemotePublisher adapts an RMI connection into a Publisher for
-// deployments where the next merge tier lives on another node. It
-// honors the connection's compression preference, so WAN workers
-// dialed with rmi.WithCompressedFrames ship compressed frames without
-// any per-call plumbing.
+// deployments where the next merge tier lives on another node.
 type RemotePublisher struct {
 	client *rmi.Client
 	object string
@@ -166,9 +155,6 @@ func NewRemotePublisher(client *rmi.Client, object string) *RemotePublisher {
 
 // Publish implements Publisher over the wire.
 func (p *RemotePublisher) Publish(args PublishArgs, reply *PublishReply) error {
-	if p.client.Compressed() && args.Delta != nil {
-		args.Delta.SetWireCompression(true)
-	}
 	return p.client.Call(p.target, args, reply)
 }
 

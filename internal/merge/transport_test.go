@@ -8,9 +8,9 @@ import (
 )
 
 // TestRemotePublisherCompressedFrames drives the whole WAN path: a
-// transport publishing deltas through an RMI connection dialed with
-// compressed frames, into a manager registered on a real RMI server,
-// then polls the merged result back over the same wire.
+// transport publishing deltas its adaptive policy compresses through an
+// RMI connection, into a manager registered on a real RMI server, then
+// polls the merged result back over the same wire.
 func TestRemotePublisherCompressedFrames(t *testing.T) {
 	mgr := NewManager()
 	srv := rmi.NewServer(nil)
@@ -23,20 +23,18 @@ func TestRemotePublisherCompressedFrames(t *testing.T) {
 	}
 	defer srv.Close()
 
-	client, err := rmi.Dial(addr.String(), "tok", rmi.WithCompressedFrames())
+	client, err := rmi.Dial(addr.String(), "tok")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if !client.Compressed() {
-		t.Fatal("dial option not recorded")
-	}
 	tr := NewTransport("s", "wan-worker", NewRemotePublisher(client, ""))
 
 	tree := aida.NewTree()
-	h, _ := tree.H1D("/a", "h", "", 100, 0, 100)
+	// 200 bins put the baseline frame over the policy's ~1 KiB floor.
+	h, _ := tree.H1D("/a", "h", "", 200, 0, 200)
 	for i := 0; i < 500; i++ {
-		h.Fill(float64(i % 100))
+		h.Fill(float64(i % 200))
 	}
 	send := func() {
 		t.Helper()
@@ -58,6 +56,9 @@ func TestRemotePublisherCompressedFrames(t *testing.T) {
 		}
 	}
 	send() // baseline
+	if c, _ := tr.CompressionStats(); c != 1 {
+		t.Fatalf("baseline frames compressed = %d, want 1", c)
+	}
 	h.Fill(7)
 	send() // incremental
 

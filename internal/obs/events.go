@@ -28,6 +28,7 @@ const (
 	EventBackpressure = "mirror-backpressure"
 	EventRepair       = "anti-entropy-repair"
 	EventWALTail      = "wal-tail"
+	EventHandlerPanic = "rmi-handler-panic"
 )
 
 // Event is one structured fabric occurrence.

@@ -896,17 +896,11 @@ func (f *faultShard) call(do func() error) error {
 func (f *faultShard) Publish(a merge.PublishArgs, r *merge.PublishReply) error {
 	return f.call(func() error { return f.inner.Publish(a, r) })
 }
-func (f *faultShard) PublishBatch(a merge.PublishBatchArgs, r *merge.PublishBatchReply) error {
-	return f.call(func() error { return f.inner.PublishBatch(a, r) })
-}
 func (f *faultShard) Poll(a merge.PollArgs, r *merge.PollReply) error {
 	return f.call(func() error { return f.inner.Poll(a, r) })
 }
 func (f *faultShard) Reset(a merge.ResetArgs, r *merge.ResetReply) error {
 	return f.call(func() error { return f.inner.Reset(a, r) })
-}
-func (f *faultShard) Flush(a merge.FlushArgs, r *merge.FlushReply) error {
-	return f.call(func() error { return f.inner.Flush(a, r) })
 }
 func (f *faultShard) Export(a merge.ExportArgs, r *merge.ExportReply) error {
 	return f.call(func() error { return f.inner.Export(a, r) })

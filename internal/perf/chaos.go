@@ -102,17 +102,11 @@ func (c *chaosShard) replCall(do func() error) error {
 func (c *chaosShard) Publish(a merge.PublishArgs, r *merge.PublishReply) error {
 	return c.call(func() error { return c.inner.Publish(a, r) })
 }
-func (c *chaosShard) PublishBatch(a merge.PublishBatchArgs, r *merge.PublishBatchReply) error {
-	return c.call(func() error { return c.inner.PublishBatch(a, r) })
-}
 func (c *chaosShard) Poll(a merge.PollArgs, r *merge.PollReply) error {
 	return c.call(func() error { return c.inner.Poll(a, r) })
 }
 func (c *chaosShard) Reset(a merge.ResetArgs, r *merge.ResetReply) error {
 	return c.call(func() error { return c.inner.Reset(a, r) })
-}
-func (c *chaosShard) Flush(a merge.FlushArgs, r *merge.FlushReply) error {
-	return c.call(func() error { return c.inner.Flush(a, r) })
 }
 func (c *chaosShard) Export(a merge.ExportArgs, r *merge.ExportReply) error {
 	return c.replCall(func() error { return c.inner.Export(a, r) })

@@ -1,8 +1,8 @@
 // A13 — multicore raw-speed sweep. Every other ablation measures
 // mechanism against mechanism at whatever parallelism the host gives
 // it; this one pins GOMAXPROCS and sweeps it, measuring four hot paths
-// — bulk fills (against the scalar Fill loop), group-commit coalesced
-// publishes, RMI round trips, and pooled poll-frame decodes. The rows
+// — bulk fills (against the scalar Fill loop), publish+poll over RMI,
+// RMI round trips, and pooled poll-frame decodes. The rows
 // are only as honest as the host: a 1-CPU container produces a single
 // Procs=1 row and no scaling claim (the BENCH env block records the
 // hardware for exactly this reason).
@@ -30,11 +30,8 @@ type McoreRow struct {
 	ScalarPerSec float64
 
 	// Publish+poll fabric: aggregate operations/s (publishes + polls)
-	// against a sharded router over loopback RMI, publishes coalesced by
-	// a group-commit Batcher.
-	BatchedOpsPerSec float64
-	// CoalesceFactor is the realized publishes-per-batch.
-	CoalesceFactor float64
+	// against a sharded router over loopback RMI.
+	PubPollOpsPerSec float64
 
 	// RMI round trips: calls/s over loopback TCP.
 	CallsPerSec float64
@@ -69,11 +66,11 @@ func MulticoreSweep(procs []int, fills, sessions, rounds, objects, calls int) ([
 		row := McoreRow{Procs: p}
 		// Single-shot rates on a busy shared host swing ±30%; run each
 		// measurement three times and keep the medians.
-		var fillns, scalars, batched, factors, callRates [reps]float64
+		var fillns, scalars, pubPolls, callRates [reps]float64
 		for i := 0; i < reps; i++ {
 			fillns[i], scalars[i] = fillRates(p, fills)
 			var err error
-			if batched[i], factors[i], err = pubPollRate(p, sessions, rounds, objects); err != nil {
+			if pubPolls[i], err = pubPollRate(p, sessions, rounds, objects); err != nil {
 				return nil, err
 			}
 			if callRates[i], err = rmiCallRate(p, calls); err != nil {
@@ -81,7 +78,7 @@ func MulticoreSweep(procs []int, fills, sessions, rounds, objects, calls int) ([
 			}
 		}
 		row.FillNPerSec, row.ScalarPerSec = median(fillns), median(scalars)
-		row.BatchedOpsPerSec, row.CoalesceFactor = median(batched), median(factors)
+		row.PubPollOpsPerSec = median(pubPolls)
 		row.CallsPerSec = median(callRates)
 		var err error
 		if row.AllocsPerDecode, err = decodeAllocs(); err != nil {
@@ -145,11 +142,8 @@ func fillRates(p, fills int) (filln, scalar float64) {
 // delta-publishing engine plus an incremental poll per round — against
 // a sharded router served over loopback RMI (the deployment shape:
 // engines reach the merge fabric through a shared pipelined
-// connection). Publishes go through a shared group-commit Batcher, so
-// whatever queues during one PublishBatch round trip rides the next.
-// Returns aggregate (publishes+polls)/s and the realized coalescing
-// factor.
-func pubPollRate(p, sessions, rounds, objects int) (float64, float64, error) {
+// connection). Returns aggregate (publishes+polls)/s.
+func pubPollRate(p, sessions, rounds, objects int) (float64, error) {
 	router := shard.NewRouter(0)
 	shards := p
 	if shards < 1 {
@@ -157,25 +151,24 @@ func pubPollRate(p, sessions, rounds, objects int) (float64, float64, error) {
 	}
 	for i := 0; i < shards; i++ {
 		if err := router.AddShard(fmt.Sprintf("shard%02d", i), merge.NewManager()); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
 	srv := rmi.NewServer(nil)
 	if err := srv.Register(merge.RMIObjectName, router); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	addr, err := srv.ListenAndServe("127.0.0.1:0")
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	defer srv.Close()
 	client, err := rmi.Dial(addr.String(), "tok")
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	defer client.Close()
-	batcher := merge.NewBatcher(merge.NewRemotePublisher(client, ""), merge.BatcherOptions{})
-	defer batcher.Close()
+	pub := merge.NewRemotePublisher(client, "")
 	errs := make(chan error, sessions)
 	start := time.Now()
 	for s := 0; s < sessions; s++ {
@@ -194,7 +187,7 @@ func pubPollRate(p, sessions, rounds, objects int) (float64, float64, error) {
 				}
 				hists[o] = h
 			}
-			tr := merge.NewTransport(sid, "w0", batcher)
+			tr := merge.NewTransport(sid, "w0", pub)
 			var since int64
 			for r := 0; r < rounds; r++ {
 				hists[r%objects].Fill(float64(r % 100))
@@ -226,19 +219,14 @@ func pubPollRate(p, sessions, rounds, objects int) (float64, float64, error) {
 	}
 	for s := 0; s < sessions; s++ {
 		if err := <-errs; err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
 	secs := time.Since(start).Seconds()
 	if secs <= 0 {
 		secs = 1e-9
 	}
-	flushes, published := batcher.Stats()
-	factor := 1.0
-	if flushes > 0 {
-		factor = float64(published) / float64(flushes)
-	}
-	return float64(2*sessions*rounds) / secs, factor, nil
+	return float64(2*sessions*rounds) / secs, nil
 }
 
 // rmiCallRate measures quiescent-poll round trips/s over loopback with

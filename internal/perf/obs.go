@@ -2,11 +2,11 @@
 // cost is in the noise: counters are single atomic adds, histograms two,
 // and the Disabled switch collapses every record site to one atomic
 // load. This experiment drives the same publish+poll fabric load as the
-// A13 sweep — sessions delta-publishing through the group-commit
-// batcher and incrementally polling over loopback RMI — once with the
-// full instrumentation (metrics, spans, trace propagation) and once
-// with obs.SetDisabled(true), interleaved rep by rep so host drift hits
-// both modes alike, and reports per-mode medians. The acceptance bar is
+// A13 sweep — sessions delta-publishing straight through a
+// RemotePublisher and incrementally polling over loopback RMI — once
+// with the full instrumentation (metrics, spans, trace propagation) and
+// once with obs.SetDisabled(true), interleaved rep by rep so host drift
+// hits both modes alike, and reports per-mode medians. The acceptance bar is
 // instrumented throughput within a few percent of the ablated baseline;
 // on a shared 1-CPU host the loopback RMI round trip dominates, so a
 // bigger gap indicates a real regression, not noise.
@@ -49,8 +49,7 @@ func ObsOverheadAblation(sessions, rounds, objects int) (ObsRow, error) {
 	row := ObsRow{Sessions: sessions, Rounds: rounds, Objects: objects}
 	measure := func(disabled bool) (float64, error) {
 		obs.SetDisabled(disabled)
-		r, _, err := pubPollRate(1, sessions, rounds, objects)
-		return r, err
+		return pubPollRate(1, sessions, rounds, objects)
 	}
 	for _, warm := range []bool{false, true} {
 		if _, err := measure(warm); err != nil {

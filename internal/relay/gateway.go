@@ -126,7 +126,6 @@ func (g *Gateway) events(w http.ResponseWriter, r *http.Request) {
 			f.Done += p.EventsDone
 			f.Total += p.EventsTotal
 		}
-		t0 := time.Now()
 		if _, err := fmt.Fprintf(w, "event: update\ndata: "); err != nil {
 			return false
 		}
@@ -142,11 +141,6 @@ func (g *Gateway) events(w http.ResponseWriter, r *http.Request) {
 			// The versions between since and reply.Version were coalesced
 			// into this one frame.
 			obsSSECoalesced.Add(reply.Version - since - 1)
-		}
-		if time.Since(t0) > tick {
-			// This client cannot drain one frame per tick: surface the
-			// congestion so the hint propagates up the subscription.
-			g.relay.ReportDownstream(1)
 		}
 		since, sinceEpoch = reply.Version, reply.Epoch
 		return true

@@ -10,10 +10,7 @@
 // deterministic, relay-served frames are byte-identical to the owner's.
 //
 // Relays compose: a Relay's upstream may itself be a Relay (a
-// relay-of-relay tree for geographic tiers), and each hop forwards an
-// accumulated max(local, downstream) queue-depth hint on its
-// subscription polls, so leaf congestion widens flush intervals at the
-// root — backpressure beyond one hop.
+// relay-of-relay tree for geographic tiers).
 //
 // Self-healing mirrors the client rules: an upstream epoch change or
 // same-epoch version regression (failover promotion, fault re-home)
@@ -73,10 +70,6 @@ type Relay struct {
 	closed bool
 	subs   sync.Map // sessionID → *subscription
 
-	// downDepth accumulates the max queue-depth hint reported by
-	// downstream tiers (child relays, the SSE gateway) since the last
-	// subscription poll drained it.
-	downDepth atomic.Int64
 	upPolls   atomic.Int64
 	downPolls atomic.Int64
 	clients   atomic.Int64
@@ -99,9 +92,6 @@ type subscription struct {
 	// lastSyncNS is the wall clock of the last successful upstream
 	// exchange (unix nanos); staleness lag is measured against it.
 	lastSyncNS atomic.Int64
-	// lastSyncDurNS is the duration of the last sync — a sync slower
-	// than the poll interval marks this relay itself as lagging.
-	lastSyncDurNS atomic.Int64
 	// rebaselines mirrors the transport's re-baseline count (plus one
 	// per epoch-flip transport replacement) into an atomic, so Stats
 	// never touches the syncMu-guarded transport. rebaseBase carries
@@ -249,7 +239,7 @@ func (r *Relay) syncLocked(s *subscription) error {
 	var nextProgress []merge.WorkerProgress
 	t0 := time.Now()
 	_, err := s.tr.Send(func(full bool) (merge.Snapshot, error) {
-		args := merge.PollArgs{SessionID: s.sid, DownstreamDepth: r.reportableDepth()}
+		args := merge.PollArgs{SessionID: s.sid}
 		if full {
 			args.Full = true
 		} else {
@@ -310,7 +300,6 @@ func (r *Relay) syncLocked(s *subscription) error {
 	s.rebaselines.Store(s.rebaseBase + s.tr.Rebaselines())
 	now := time.Now()
 	s.lastSyncNS.Store(now.UnixNano())
-	s.lastSyncDurNS.Store(now.Sub(t0).Nanoseconds())
 	obsSyncSeconds.Observe(now.Sub(t0).Seconds())
 	return nil
 }
@@ -323,51 +312,6 @@ func (r *Relay) releaseReply(pr *merge.PollReply) {
 	}
 }
 
-// reportableDepth is the queue-depth hint carried on the next upstream
-// poll: the max of what downstream tiers reported (drained with decay,
-// so a quiet leaf fades out) and this relay's own lag (a sync slower
-// than the poll interval counts as one queued consumer).
-func (r *Relay) reportableDepth() int {
-	var d int64
-	for {
-		cur := r.downDepth.Load()
-		if cur <= 0 {
-			break
-		}
-		if r.downDepth.CompareAndSwap(cur, cur-1) {
-			d = cur
-			break
-		}
-	}
-	if r.Interval > 0 && time.Duration(maxSubDur(r)) > r.Interval && d < 1 {
-		d = 1
-	}
-	return int(d)
-}
-
-func maxSubDur(r *Relay) int64 {
-	var max int64
-	r.subs.Range(func(_, v any) bool {
-		if d := v.(*subscription).lastSyncDurNS.Load(); d > max {
-			max = d
-		}
-		return true
-	})
-	return max
-}
-
-// ReportDownstream folds a downstream consumer count / queue depth into
-// the hint forwarded upstream (max-accumulate; the SSE gateway calls
-// this when client buffers back up).
-func (r *Relay) ReportDownstream(depth int) {
-	for {
-		cur := r.downDepth.Load()
-		if int64(depth) <= cur || r.downDepth.CompareAndSwap(cur, int64(depth)) {
-			return
-		}
-	}
-}
-
 // AddClient / DropClient track attached long-lived consumers (SSE
 // clients) for the fan-out stats.
 func (r *Relay) AddClient()  { r.clients.Add(1) }
@@ -375,14 +319,8 @@ func (r *Relay) DropClient() { r.clients.Add(-1) }
 
 // Poll re-serves a downstream read from the local merged copy
 // (RMI-compatible — the same wire surface as a Manager, so core.Client
-// needs no new protocol). A child relay's accumulated depth hint is
-// captured here and zeroed before the local delegate, so it is
-// forwarded upstream rather than double-counted locally.
+// needs no new protocol).
 func (r *Relay) Poll(args merge.PollArgs, reply *merge.PollReply) error {
-	if args.DownstreamDepth > 0 {
-		r.ReportDownstream(args.DownstreamDepth)
-		args.DownstreamDepth = 0
-	}
 	r.downPolls.Add(1)
 	obsDownPolls.Inc()
 	if r.AutoSubscribe {

@@ -294,12 +294,15 @@ func (s *Server) dispatch(seq uint64, object, method, token string, trace obs.Tr
 
 // call runs the handler for target. A panic in the handler becomes the
 // call's error, so a faulty method — or an argument it chokes on —
-// fails only its own call, never the connection or the process.
+// fails only its own call, never the connection or the process. The
+// panic is also recorded as a fabric event naming the method, so it
+// shows in /fabric/status.
 func (m *methodInfo) call(target string, arg reflect.Value) (reply reflect.Value, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			handlerPanics.Inc()
 			err = fmt.Errorf("rmi: %s panicked: %v", target, r)
+			obs.Emit(obs.EventHandlerPanic, "", "", 0, err.Error())
 		}
 	}()
 	reply = reflect.New(m.replyType)

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/ipa-grid/ipa/internal/obs"
 )
 
 // calcService is a test object.
@@ -454,6 +456,7 @@ func TestHandlerPanicIsRemoteError(t *testing.T) {
 	}
 	defer c.Close()
 	before := handlerPanics.Value()
+	seq := obs.Events.NextSeq()
 	var out float64
 	err = c.Call("Crash.Boom", addArgs{A: 1}, &out)
 	var re RemoteError
@@ -462,6 +465,15 @@ func TestHandlerPanicIsRemoteError(t *testing.T) {
 	}
 	if got := handlerPanics.Value() - before; got != 1 {
 		t.Fatalf("handler panic counter moved by %d, want 1", got)
+	}
+	var panics []obs.Event
+	for _, e := range obs.Events.Since(seq, 0) {
+		if e.Kind == obs.EventHandlerPanic {
+			panics = append(panics, e)
+		}
+	}
+	if len(panics) != 1 || !strings.Contains(panics[0].Detail, "Crash.Boom") {
+		t.Fatalf("handler panic events = %+v, want one naming Crash.Boom", panics)
 	}
 	for i := 0; i < 3; i++ {
 		var sum float64

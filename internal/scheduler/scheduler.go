@@ -394,6 +394,25 @@ func (c *Cluster) Cancel(id int64) error {
 	}
 }
 
+// Forget cancels a job that is still pending or running and drops its
+// record: Snapshot, Wait and Cancel report no such job afterwards. A
+// cancelled running job still releases its slot when its payload
+// returns.
+func (c *Cluster) Forget(id int64) {
+	c.Cancel(id)
+	c.mu.Lock()
+	delete(c.all, id)
+	c.mu.Unlock()
+}
+
+// JobCount reports how many job records the cluster holds (pending,
+// running, and finished but not forgotten).
+func (c *Cluster) JobCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.all)
+}
+
 // Wait blocks until the job leaves the system (Done/Failed/Cancelled) or
 // the timeout elapses (0 = wait forever).
 func (c *Cluster) Wait(id int64, timeout time.Duration) (Snapshot, error) {

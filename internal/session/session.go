@@ -170,14 +170,14 @@ func (s *Service) Create(ownerDN string) (*Session, error) {
 	sess.job = job
 	workers, err := s.cfg.Registry.WaitReady(id, s.cfg.Engines, s.cfg.ActivateTimeout)
 	if err != nil {
-		job.Cancel()
+		s.cfg.Gram.Release(job.ID)
 		s.cfg.Registry.RemoveSession(id)
 		return nil, fmt.Errorf("session: engines not ready: %w", err)
 	}
 	for _, w := range workers {
 		ref, ok := w.Handle.(EngineRef)
 		if !ok {
-			job.Cancel()
+			s.cfg.Gram.Release(job.ID)
 			s.cfg.Registry.RemoveSession(id)
 			return nil, fmt.Errorf("session: worker %s registered no usable handle", w.WorkerID)
 		}
@@ -647,7 +647,7 @@ func (s *Service) teardown(sess *Session) {
 	job := sess.job
 	sess.mu.Unlock()
 	if job != nil {
-		job.Cancel()
+		s.cfg.Gram.Release(job.ID)
 	}
 	s.cfg.Registry.RemoveSession(sess.ID)
 	s.cfg.Merge.Drop(sess.ID)

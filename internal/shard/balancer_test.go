@@ -252,17 +252,11 @@ func (f *flakyBackend) call(do func() error) error {
 func (f *flakyBackend) Publish(a merge.PublishArgs, r *merge.PublishReply) error {
 	return f.call(func() error { return f.inner.Publish(a, r) })
 }
-func (f *flakyBackend) PublishBatch(a merge.PublishBatchArgs, r *merge.PublishBatchReply) error {
-	return f.call(func() error { return f.inner.PublishBatch(a, r) })
-}
 func (f *flakyBackend) Poll(a merge.PollArgs, r *merge.PollReply) error {
 	return f.call(func() error { return f.inner.Poll(a, r) })
 }
 func (f *flakyBackend) Reset(a merge.ResetArgs, r *merge.ResetReply) error {
 	return f.call(func() error { return f.inner.Reset(a, r) })
-}
-func (f *flakyBackend) Flush(a merge.FlushArgs, r *merge.FlushReply) error {
-	return f.call(func() error { return f.inner.Flush(a, r) })
 }
 func (f *flakyBackend) Export(a merge.ExportArgs, r *merge.ExportReply) error {
 	return f.call(func() error { return f.inner.Export(a, r) })

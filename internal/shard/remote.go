@@ -14,9 +14,8 @@ func ObjectName(shard string) string { return "AIDAShard:" + shard }
 // Remote adapts an RMI connection into a Backend for shards hosted on
 // other nodes. All Backend calls are RMI-shaped Manager methods, so the
 // remote side needs nothing beyond a per-shard registration. Snapshot
-// publishes honor the connection's compression preference exactly like
-// a remote engine uplink (forced by rmi.WithCompressedFrames; adaptive
-// per-frame otherwise via the transports that built the snapshot).
+// publishes carry whatever compression policy the transport that built
+// them attached, exactly like a remote engine uplink.
 type Remote struct {
 	client *rmi.Client
 	object string
@@ -47,24 +46,13 @@ func (r *Remote) Reset(args merge.ResetArgs, reply *merge.ResetReply) error {
 	return r.client.Call(r.object+".Reset", args, reply)
 }
 
-// Flush implements Backend over the wire.
-func (r *Remote) Flush(args merge.FlushArgs, reply *merge.FlushReply) error {
-	return r.client.Call(r.object+".Flush", args, reply)
-}
-
 // Export implements Backend over the wire.
 func (r *Remote) Export(args merge.ExportArgs, reply *merge.ExportReply) error {
 	return r.client.Call(r.object+".Export", args, reply)
 }
 
-// Import implements Backend over the wire. Worker baselines are bulky,
-// so they ride compressed frames when the connection prefers them.
+// Import implements Backend over the wire.
 func (r *Remote) Import(args merge.ImportArgs, reply *merge.ImportReply) error {
-	if r.client.Compressed() {
-		for i := range args.Workers {
-			args.Workers[i].Tree.SetWireCompression(true)
-		}
-	}
 	return r.client.Call(r.object+".Import", args, reply)
 }
 
@@ -88,12 +76,8 @@ func (r *Remote) SessionList(args merge.SessionsArgs, reply *merge.SessionsReply
 	return r.client.Call(r.object+".SessionList", args, reply)
 }
 
-// Mirror implements Backend over the wire. The mirrored delta honors
-// the connection's compression preference exactly like a publish.
+// Mirror implements Backend over the wire.
 func (r *Remote) Mirror(args merge.MirrorArgs, reply *merge.MirrorReply) error {
-	if args.Delta != nil && r.client.Compressed() {
-		args.Delta.SetWireCompression(true)
-	}
 	return r.client.Call(r.object+".Mirror", args, reply)
 }
 

@@ -42,10 +42,8 @@ import (
 // over an rmi.Client for shards on other nodes.
 type Backend interface {
 	Publish(args merge.PublishArgs, reply *merge.PublishReply) error
-	PublishBatch(args merge.PublishBatchArgs, reply *merge.PublishBatchReply) error
 	Poll(args merge.PollArgs, reply *merge.PollReply) error
 	Reset(args merge.ResetArgs, reply *merge.ResetReply) error
-	Flush(args merge.FlushArgs, reply *merge.FlushReply) error
 	Export(args merge.ExportArgs, reply *merge.ExportReply) error
 	Import(args merge.ImportArgs, reply *merge.ImportReply) error
 	Stats(args merge.StatsArgs, reply *merge.StatsReply) error
@@ -381,25 +379,6 @@ func isSealedErr(err error) bool {
 		return false
 	}
 	return errors.Is(err, merge.ErrSealed) || strings.Contains(err.Error(), merge.ErrSealed.Error())
-}
-
-// FlushState assembles a forwardable delta from the session's shard —
-// the Manager surface SubMergers pull, so a merge tier can sit above a
-// sharded fabric too. The shard's backpressure hint rides along.
-func (r *Router) FlushState(sessionID string, since, logSince int64) (merge.FlushState, error) {
-	_, b, err := r.owner(sessionID, false)
-	if err != nil {
-		return merge.FlushState{}, err
-	}
-	var reply merge.FlushReply
-	if err := b.Flush(merge.FlushArgs{SessionID: sessionID, Since: since, LogSince: logSince}, &reply); err != nil {
-		return merge.FlushState{}, err
-	}
-	return merge.FlushState{
-		Delta: reply.Delta, Version: reply.Version,
-		Done: reply.Done, Total: reply.Total, Logs: reply.Logs,
-		Busy: reply.Busy, QueueDepth: reply.QueueDepth,
-	}, nil
 }
 
 // Version implements merge.Service against the owning shard (0 when the

@@ -13,12 +13,13 @@ import (
 	"github.com/ipa-grid/ipa/internal/aida"
 	"github.com/ipa-grid/ipa/internal/merge"
 	"github.com/ipa-grid/ipa/internal/rmi"
+	"github.com/ipa-grid/ipa/internal/shard/placement"
 )
 
 // ---------------------------------------------------------------- ring
 
 func TestRingOwnerDeterministicAndBalanced(t *testing.T) {
-	r := NewRing(0)
+	r := placement.NewRing(0)
 	for i := 0; i < 8; i++ {
 		r.Add(fmt.Sprintf("shard%02d", i))
 	}
@@ -44,7 +45,7 @@ func TestRingOwnerDeterministicAndBalanced(t *testing.T) {
 }
 
 func TestRingAddMovesBoundedFraction(t *testing.T) {
-	r := NewRing(0)
+	r := placement.NewRing(0)
 	for i := 0; i < 8; i++ {
 		r.Add(fmt.Sprintf("shard%02d", i))
 	}
@@ -506,7 +507,7 @@ func TestHandoffRollbackOnImportFailure(t *testing.T) {
 	name := ""
 	for i := 0; ; i++ {
 		name = fmt.Sprintf("cand%d", i)
-		probe := NewRing(0)
+		probe := placement.NewRing(0)
 		probe.Add("a")
 		probe.Add(name)
 		if probe.Owner("sess-rb") == name {
