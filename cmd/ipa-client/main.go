@@ -138,7 +138,7 @@ func main() {
 		if up.EventsTotal > 0 {
 			fmt.Printf("\rprogress: %d/%d events", up.EventsDone, up.EventsTotal)
 		}
-		if up.EventsTotal > 0 && up.EventsDone == up.EventsTotal {
+		if up.Done {
 			fmt.Println()
 			break
 		}

@@ -106,7 +106,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if up.EventsTotal > 0 && up.EventsDone == up.EventsTotal {
+		if up.Done {
 			break
 		}
 		time.Sleep(50 * time.Millisecond)

@@ -83,7 +83,7 @@ func main() {
 		for _, line := range up.Logs {
 			fmt.Println("  [engine]", line)
 		}
-		if up.EventsTotal > 0 && up.EventsDone == up.EventsTotal {
+		if up.Done {
 			break
 		}
 		time.Sleep(50 * time.Millisecond)

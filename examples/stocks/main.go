@@ -137,7 +137,7 @@ func waitAll(c *ipa.Client) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if up.EventsTotal > 0 && up.EventsDone == up.EventsTotal {
+		if up.Done {
 			return
 		}
 		time.Sleep(20 * time.Millisecond)

@@ -217,8 +217,27 @@ type Update struct {
 	Progress []merge.WorkerProgress
 	// Logs carries new analysis print() output.
 	Logs []string
-	// EventsDone/EventsTotal aggregate progress over engines.
+	// EventsDone/EventsTotal aggregate progress over the engines that
+	// have published since the last reset, so they can be equal before
+	// every engine has reported; test Done for completion.
 	EventsDone, EventsTotal int64
+	// Done reports that the run is complete: all Engines() engines appear
+	// in Progress and each has processed its whole part.
+	Done bool
+}
+
+// runDone reports whether progress shows every one of a session's
+// engines finished.
+func runDone(progress []merge.WorkerProgress, engines int) bool {
+	if engines <= 0 || len(progress) < engines {
+		return false
+	}
+	for _, p := range progress {
+		if p.EventsDone < p.EventsTotal {
+			return false
+		}
+	}
+	return true
 }
 
 // SetDirectPoll toggles shard-aware polling. When on, Poll learns the
@@ -406,6 +425,7 @@ func (c *Client) Poll() (Update, error) {
 		up.EventsDone += p.EventsDone
 		up.EventsTotal += p.EventsTotal
 	}
+	up.Done = runDone(reply.Progress, c.Engines())
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.version = reply.Version

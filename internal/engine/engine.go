@@ -322,7 +322,11 @@ func (e *Engine) ensureInitLocked() error {
 	if e.bundle == nil || e.reader == nil {
 		return errors.New("engine: not staged")
 	}
-	a, err := e.bundle.Instantiate(e.cfg.Registry)
+	var a analysis.Analysis
+	err := contain(func() (err error) {
+		a, err = e.bundle.Instantiate(e.cfg.Registry)
+		return err
+	})
 	if err != nil {
 		return err
 	}
@@ -332,12 +336,29 @@ func (e *Engine) ensureInitLocked() error {
 		Params:   e.bundle.Params,
 		WorkerID: e.cfg.WorkerID,
 	}
-	if err := a.Init(e.ctx); err != nil {
+	if err := contain(func() error { return a.Init(e.ctx) }); err != nil {
 		return fmt.Errorf("engine: analysis init: %w", err)
 	}
 	e.anal = a
 	return nil
 }
+
+// contain runs analysis code and turns a panic in it into an error, so a
+// faulty script binding or native analysis fails its own engine instead
+// of the process and every session in it.
+func contain(f func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = panicError{r}
+		}
+	}()
+	return f()
+}
+
+// panicError is a panic recovered from analysis code.
+type panicError struct{ value any }
+
+func (p panicError) Error() string { return fmt.Sprintf("analysis panicked: %v", p.value) }
 
 // batchSize bounds how many records are processed per lock cycle so
 // controls stay responsive ("timescales of less than a minute" — we aim
@@ -385,18 +406,26 @@ func (e *Engine) processBatch() {
 	if to > from && (it == nil || it.Index() != from) {
 		it, procErr = reader.Iter(from, total)
 	}
-	for procErr == nil && from+processed < to {
-		rec, err := it.Next()
-		if err != nil {
-			procErr = err
-			break
+	if procErr == nil {
+		// One recover guards the whole batch; a panic ends it at the
+		// record being processed.
+		procErr = contain(func() error {
+			for from+processed < to {
+				rec, err := it.Next()
+				if err != nil {
+					return err
+				}
+				ctx.EventIndex = offset + from + processed
+				if err := anal.Process(rec, ctx); err != nil {
+					return fmt.Errorf("record %d: %w", ctx.EventIndex, err)
+				}
+				processed++
+			}
+			return nil
+		})
+		if _, ok := procErr.(panicError); ok {
+			procErr = fmt.Errorf("record %d: %w", offset+from+processed, procErr)
 		}
-		ctx.EventIndex = offset + from + processed
-		if err := anal.Process(rec, ctx); err != nil {
-			procErr = fmt.Errorf("record %d: %w", ctx.EventIndex, err)
-			break
-		}
-		processed++
 	}
 
 	e.mu.Lock()
@@ -427,7 +456,7 @@ func (e *Engine) processBatch() {
 		end = StateError
 	case finished:
 		end = StateFinished
-		if err := anal.End(ctx); err != nil {
+		if err := contain(func() error { return anal.End(ctx) }); err != nil {
 			e.lastErr = err
 			end = StateError
 		}

@@ -203,7 +203,8 @@ func decodeHeader(rec []byte, e *Event) (int, error) {
 
 // particleAt decodes particle i of a record decodeHeader has checked.
 func particleAt(rec []byte, i int) Particle {
-	b := rec[eventHeaderSize+i*particleSize:]
+	at := eventHeaderSize + i*particleSize
+	b := rec[at : at+particleSize] // one bounds check for all six fields
 	return Particle{
 		ID:     int32(binary.LittleEndian.Uint32(b)),
 		Charge: int8(b[4]),

@@ -23,19 +23,29 @@ func (e *eventView) TypeName() string { return "event" }
 
 // Member implements script.HostObject.
 func (e *eventView) Member(name string) (script.Value, bool) {
+	if f, ok := e.NumberMember(name); ok {
+		return f, true
+	}
+	switch name {
+	case "signal":
+		return e.signal, true
+	case "particles":
+		return &e.particles, true
+	}
+	return nil, false
+}
+
+// NumberMember implements script.NumberObject.
+func (e *eventView) NumberMember(name string) (float64, bool) {
 	switch name {
 	case "number":
 		return float64(e.number), true
 	case "run":
 		return float64(e.run), true
-	case "signal":
-		return e.signal, true
 	case "n":
 		return float64(len(e.particles.Elems)), true
-	case "particles":
-		return &e.particles, true
 	}
-	return nil, false
+	return 0, false
 }
 
 // particleView exposes one particle with members id, charge, px, py, pz,
@@ -51,6 +61,15 @@ func (v *particleView) TypeName() string { return "particle" }
 
 // Member implements script.HostObject.
 func (v *particleView) Member(name string) (script.Value, bool) {
+	if f, ok := v.NumberMember(name); ok {
+		return f, true
+	}
+	return nil, false
+}
+
+// NumberMember implements script.NumberObject: every particle member is
+// a number.
+func (v *particleView) NumberMember(name string) (float64, bool) {
 	switch name {
 	case "id":
 		return float64(v.p.ID), true
@@ -73,7 +92,7 @@ func (v *particleView) Member(name string) (script.Value, bool) {
 	case "cost":
 		return v.p.Vec().CosTheta(), true
 	}
-	return nil, false
+	return 0, false
 }
 
 // decodeScriptEvent builds the script view of one record: the event
@@ -109,6 +128,9 @@ func pairMass(args []script.Value) (script.Value, error) {
 }
 
 var (
+	_ script.NumberObject = (*eventView)(nil)
+	_ script.NumberObject = (*particleView)(nil)
+
 	errArity       = &script.RuntimeError{Msg: "pairMass expects (particle, particle)"}
 	errNotParticle = &script.RuntimeError{Msg: "pairMass: argument is not a particle"}
 )

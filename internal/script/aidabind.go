@@ -13,34 +13,35 @@ import (
 //	h = tree.h1d("/higgs", "mass", "Dijet mass", 125, 0, 250)
 //	function process(ev) { ... h.fill(m) ... }
 
+// methods is a host object's member table, built once when the object is
+// made so that reading a method allocates nothing.
+type methods map[string]Value
+
 // TreeObject wraps an aida.Tree for script access.
 type TreeObject struct {
-	Tree *aida.Tree
+	Tree    *aida.Tree
+	methods methods
 }
 
-// TypeName implements HostObject.
-func (t *TreeObject) TypeName() string { return "tree" }
-
-// Member implements HostObject.
-func (t *TreeObject) Member(name string) (Value, bool) {
-	switch name {
-	case "h1d":
-		return HostFunc(func(args []Value) (Value, error) {
+// newTreeObject binds a tree and its booking methods for scripts.
+func newTreeObject(tree *aida.Tree) *TreeObject {
+	t := &TreeObject{Tree: tree}
+	t.methods = methods{
+		"h1d": HostFunc(func(args []Value) (Value, error) {
 			dir, nm, title, bins, lo, hi, err := histArgs(args)
 			if err != nil {
 				return nil, fmt.Errorf("tree.h1d: %v", err)
 			}
 			if existing, ok := t.Tree.Get(dir + "/" + nm).(*aida.Histogram1D); ok {
-				return &H1DObject{H: existing}, nil
+				return newH1DObject(existing), nil
 			}
 			h, err := t.Tree.H1D(dir, nm, title, bins, lo, hi)
 			if err != nil {
 				return nil, fmt.Errorf("tree.h1d: %v", err)
 			}
-			return &H1DObject{H: h}, nil
-		}), true
-	case "h2d":
-		return HostFunc(func(args []Value) (Value, error) {
+			return newH1DObject(h), nil
+		}),
+		"h2d": HostFunc(func(args []Value) (Value, error) {
 			if len(args) != 9 {
 				return nil, fmt.Errorf("tree.h2d expects (dir, name, title, nx, xlo, xhi, ny, ylo, yhi)")
 			}
@@ -67,31 +68,29 @@ func (t *TreeObject) Member(name string) (Value, bool) {
 				return nil, fmt.Errorf("tree.h2d: %v", err)
 			}
 			if existing, ok := t.Tree.Get(dir + "/" + nm).(*aida.Histogram2D); ok {
-				return &H2DObject{H: existing}, nil
+				return newH2DObject(existing), nil
 			}
 			h, err := t.Tree.H2D(dir, nm, title, nx, nums[1], nums[2], ny, nums[4], nums[5])
 			if err != nil {
 				return nil, fmt.Errorf("tree.h2d: %v", err)
 			}
-			return &H2DObject{H: h}, nil
-		}), true
-	case "p1d":
-		return HostFunc(func(args []Value) (Value, error) {
+			return newH2DObject(h), nil
+		}),
+		"p1d": HostFunc(func(args []Value) (Value, error) {
 			dir, nm, title, bins, lo, hi, err := histArgs(args)
 			if err != nil {
 				return nil, fmt.Errorf("tree.p1d: %v", err)
 			}
 			if existing, ok := t.Tree.Get(dir + "/" + nm).(*aida.Profile1D); ok {
-				return &P1DObject{P: existing}, nil
+				return newP1DObject(existing), nil
 			}
 			p, err := t.Tree.P1D(dir, nm, title, bins, lo, hi)
 			if err != nil {
 				return nil, fmt.Errorf("tree.p1d: %v", err)
 			}
-			return &P1DObject{P: p}, nil
-		}), true
-	case "c1d":
-		return HostFunc(func(args []Value) (Value, error) {
+			return newP1DObject(p), nil
+		}),
+		"c1d": HostFunc(func(args []Value) (Value, error) {
 			if len(args) != 3 {
 				return nil, fmt.Errorf("tree.c1d expects (dir, name, title)")
 			}
@@ -102,16 +101,15 @@ func (t *TreeObject) Member(name string) (Value, bool) {
 				return nil, fmt.Errorf("tree.c1d: arguments must be strings")
 			}
 			if existing, ok := t.Tree.Get(dir + "/" + nm).(*aida.Cloud1D); ok {
-				return &C1DObject{C: existing}, nil
+				return newC1DObject(existing), nil
 			}
 			c, err := t.Tree.C1D(dir, nm, title)
 			if err != nil {
 				return nil, err
 			}
-			return &C1DObject{C: c}, nil
-		}), true
-	case "ls":
-		return HostFunc(func(args []Value) (Value, error) {
+			return newC1DObject(c), nil
+		}),
+		"ls": HostFunc(func(args []Value) (Value, error) {
 			path := "/"
 			if len(args) == 1 {
 				p, err := Str(args[0])
@@ -129,9 +127,18 @@ func (t *TreeObject) Member(name string) (Value, bool) {
 				arr.Elems = append(arr.Elems, n)
 			}
 			return arr, nil
-		}), true
+		}),
 	}
-	return nil, false
+	return t
+}
+
+// TypeName implements HostObject.
+func (t *TreeObject) TypeName() string { return "tree" }
+
+// Member implements HostObject.
+func (t *TreeObject) Member(name string) (Value, bool) {
+	v, ok := t.methods[name]
+	return v, ok
 }
 
 func histArgs(args []Value) (dir, name, title string, bins int, lo, hi float64, err error) {
@@ -172,17 +179,18 @@ func binCount(f float64) (int, error) {
 
 // H1DObject wraps a Histogram1D.
 type H1DObject struct {
-	H *aida.Histogram1D
+	H       *aida.Histogram1D
+	methods methods
 }
 
 // TypeName implements HostObject.
 func (h *H1DObject) TypeName() string { return "histogram1d" }
 
-// Member implements HostObject.
-func (h *H1DObject) Member(name string) (Value, bool) {
-	switch name {
-	case "fill":
-		return HostFunc(func(args []Value) (Value, error) {
+// newH1DObject binds a histogram and its methods for scripts.
+func newH1DObject(obj *aida.Histogram1D) *H1DObject {
+	h := &H1DObject{H: obj}
+	h.methods = methods{
+		"fill": HostFunc(func(args []Value) (Value, error) {
 			switch len(args) {
 			case 1:
 				x, err := Number(args[0])
@@ -204,17 +212,12 @@ func (h *H1DObject) Member(name string) (Value, bool) {
 				return nil, fmt.Errorf("fill expects (x) or (x, weight)")
 			}
 			return nil, nil
-		}), true
-	case "mean":
-		return HostFunc(func([]Value) (Value, error) { return h.H.Mean(), nil }), true
-	case "rms":
-		return HostFunc(func([]Value) (Value, error) { return h.H.Rms(), nil }), true
-	case "entries":
-		return HostFunc(func([]Value) (Value, error) { return float64(h.H.Entries()), nil }), true
-	case "maxBinHeight":
-		return HostFunc(func([]Value) (Value, error) { return h.H.MaxBinHeight(), nil }), true
-	case "binHeight":
-		return HostFunc(func(args []Value) (Value, error) {
+		}),
+		"mean":         HostFunc(func([]Value) (Value, error) { return h.H.Mean(), nil }),
+		"rms":          HostFunc(func([]Value) (Value, error) { return h.H.Rms(), nil }),
+		"entries":      HostFunc(func([]Value) (Value, error) { return float64(h.H.Entries()), nil }),
+		"maxBinHeight": HostFunc(func([]Value) (Value, error) { return h.H.MaxBinHeight(), nil }),
+		"binHeight": HostFunc(func(args []Value) (Value, error) {
 			if len(args) != 1 {
 				return nil, fmt.Errorf("binHeight expects (bin)")
 			}
@@ -226,9 +229,8 @@ func (h *H1DObject) Member(name string) (Value, bool) {
 				return nil, fmt.Errorf("binHeight: bin %d out of range", int(i))
 			}
 			return h.H.BinHeight(int(i)), nil
-		}), true
-	case "binCenter":
-		return HostFunc(func(args []Value) (Value, error) {
+		}),
+		"binCenter": HostFunc(func(args []Value) (Value, error) {
 			if len(args) != 1 {
 				return nil, fmt.Errorf("binCenter expects (bin)")
 			}
@@ -240,13 +242,10 @@ func (h *H1DObject) Member(name string) (Value, bool) {
 				return nil, fmt.Errorf("binCenter: bin %d out of range", int(i))
 			}
 			return h.H.Axis().BinCenter(int(i)), nil
-		}), true
-	case "bins":
-		return HostFunc(func([]Value) (Value, error) { return float64(h.H.Axis().Bins()), nil }), true
-	case "reset":
-		return HostFunc(func([]Value) (Value, error) { h.H.Reset(); return nil, nil }), true
-	case "scale":
-		return HostFunc(func(args []Value) (Value, error) {
+		}),
+		"bins":  HostFunc(func([]Value) (Value, error) { return float64(h.H.Axis().Bins()), nil }),
+		"reset": HostFunc(func([]Value) (Value, error) { h.H.Reset(); return nil, nil }),
+		"scale": HostFunc(func(args []Value) (Value, error) {
 			if len(args) != 1 {
 				return nil, fmt.Errorf("scale expects (factor)")
 			}
@@ -256,9 +255,8 @@ func (h *H1DObject) Member(name string) (Value, bool) {
 			}
 			h.H.Scale(f)
 			return nil, nil
-		}), true
-	case "annotate":
-		return HostFunc(func(args []Value) (Value, error) {
+		}),
+		"annotate": HostFunc(func(args []Value) (Value, error) {
 			if len(args) != 2 {
 				return nil, fmt.Errorf("annotate expects (key, value)")
 			}
@@ -268,24 +266,31 @@ func (h *H1DObject) Member(name string) (Value, bool) {
 			}
 			h.H.Annotations().Set(k, ToString(args[1]))
 			return nil, nil
-		}), true
+		}),
 	}
-	return nil, false
+	return h
+}
+
+// Member implements HostObject.
+func (h *H1DObject) Member(name string) (Value, bool) {
+	v, ok := h.methods[name]
+	return v, ok
 }
 
 // H2DObject wraps a Histogram2D.
 type H2DObject struct {
-	H *aida.Histogram2D
+	H       *aida.Histogram2D
+	methods methods
 }
 
 // TypeName implements HostObject.
 func (h *H2DObject) TypeName() string { return "histogram2d" }
 
-// Member implements HostObject.
-func (h *H2DObject) Member(name string) (Value, bool) {
-	switch name {
-	case "fill":
-		return HostFunc(func(args []Value) (Value, error) {
+// newH2DObject binds a histogram and its methods for scripts.
+func newH2DObject(obj *aida.Histogram2D) *H2DObject {
+	h := &H2DObject{H: obj}
+	h.methods = methods{
+		"fill": HostFunc(func(args []Value) (Value, error) {
 			if len(args) != 2 && len(args) != 3 {
 				return nil, fmt.Errorf("fill expects (x, y) or (x, y, weight)")
 			}
@@ -305,30 +310,34 @@ func (h *H2DObject) Member(name string) (Value, bool) {
 			}
 			h.H.FillW(x, y, w)
 			return nil, nil
-		}), true
-	case "entries":
-		return HostFunc(func([]Value) (Value, error) { return float64(h.H.Entries()), nil }), true
-	case "meanX":
-		return HostFunc(func([]Value) (Value, error) { return h.H.MeanX(), nil }), true
-	case "meanY":
-		return HostFunc(func([]Value) (Value, error) { return h.H.MeanY(), nil }), true
+		}),
+		"entries": HostFunc(func([]Value) (Value, error) { return float64(h.H.Entries()), nil }),
+		"meanX":   HostFunc(func([]Value) (Value, error) { return h.H.MeanX(), nil }),
+		"meanY":   HostFunc(func([]Value) (Value, error) { return h.H.MeanY(), nil }),
 	}
-	return nil, false
+	return h
+}
+
+// Member implements HostObject.
+func (h *H2DObject) Member(name string) (Value, bool) {
+	v, ok := h.methods[name]
+	return v, ok
 }
 
 // P1DObject wraps a Profile1D.
 type P1DObject struct {
-	P *aida.Profile1D
+	P       *aida.Profile1D
+	methods methods
 }
 
 // TypeName implements HostObject.
 func (p *P1DObject) TypeName() string { return "profile1d" }
 
-// Member implements HostObject.
-func (p *P1DObject) Member(name string) (Value, bool) {
-	switch name {
-	case "fill":
-		return HostFunc(func(args []Value) (Value, error) {
+// newP1DObject binds a profile and its methods for scripts.
+func newP1DObject(obj *aida.Profile1D) *P1DObject {
+	p := &P1DObject{P: obj}
+	p.methods = methods{
+		"fill": HostFunc(func(args []Value) (Value, error) {
 			if len(args) != 2 {
 				return nil, fmt.Errorf("fill expects (x, y)")
 			}
@@ -342,26 +351,32 @@ func (p *P1DObject) Member(name string) (Value, bool) {
 			}
 			p.P.Fill(x, y)
 			return nil, nil
-		}), true
-	case "entries":
-		return HostFunc(func([]Value) (Value, error) { return float64(p.P.Entries()), nil }), true
+		}),
+		"entries": HostFunc(func([]Value) (Value, error) { return float64(p.P.Entries()), nil }),
 	}
-	return nil, false
+	return p
+}
+
+// Member implements HostObject.
+func (p *P1DObject) Member(name string) (Value, bool) {
+	v, ok := p.methods[name]
+	return v, ok
 }
 
 // C1DObject wraps a Cloud1D.
 type C1DObject struct {
-	C *aida.Cloud1D
+	C       *aida.Cloud1D
+	methods methods
 }
 
 // TypeName implements HostObject.
 func (c *C1DObject) TypeName() string { return "cloud1d" }
 
-// Member implements HostObject.
-func (c *C1DObject) Member(name string) (Value, bool) {
-	switch name {
-	case "fill":
-		return HostFunc(func(args []Value) (Value, error) {
+// newC1DObject binds a cloud and its methods for scripts.
+func newC1DObject(obj *aida.Cloud1D) *C1DObject {
+	c := &C1DObject{C: obj}
+	c.methods = methods{
+		"fill": HostFunc(func(args []Value) (Value, error) {
 			if len(args) != 1 && len(args) != 2 {
 				return nil, fmt.Errorf("fill expects (x) or (x, weight)")
 			}
@@ -377,13 +392,16 @@ func (c *C1DObject) Member(name string) (Value, bool) {
 			}
 			c.C.FillW(x, w)
 			return nil, nil
-		}), true
-	case "mean":
-		return HostFunc(func([]Value) (Value, error) { return c.C.Mean(), nil }), true
-	case "rms":
-		return HostFunc(func([]Value) (Value, error) { return c.C.Rms(), nil }), true
-	case "entries":
-		return HostFunc(func([]Value) (Value, error) { return float64(c.C.Entries()), nil }), true
+		}),
+		"mean":    HostFunc(func([]Value) (Value, error) { return c.C.Mean(), nil }),
+		"rms":     HostFunc(func([]Value) (Value, error) { return c.C.Rms(), nil }),
+		"entries": HostFunc(func([]Value) (Value, error) { return float64(c.C.Entries()), nil }),
 	}
-	return nil, false
+	return c
+}
+
+// Member implements HostObject.
+func (c *C1DObject) Member(name string) (Value, bool) {
+	v, ok := c.methods[name]
+	return v, ok
 }

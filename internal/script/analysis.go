@@ -68,11 +68,11 @@ func RegisterGlobal(name string, v Value) {
 	extraGlobals[name] = v
 }
 
-func installExtraGlobals(in *Interp) {
+func installExtraGlobals(define func(name string, v Value)) {
 	globalsMu.RLock()
 	defer globalsMu.RUnlock()
 	for name, v := range extraGlobals {
-		in.Define(name, v)
+		define(name, v)
 	}
 }
 
@@ -123,8 +123,8 @@ func (a *Analysis) Output() string { return a.output.String() }
 func (a *Analysis) Init(ctx *analysis.Context) error {
 	a.output.Reset()
 	a.interp = New(Options{Output: &a.output, Fuel: perEventFuel})
-	installExtraGlobals(a.interp)
-	a.interp.Define("tree", &TreeObject{Tree: ctx.Tree})
+	installExtraGlobals(a.interp.Define)
+	a.interp.Define("tree", newTreeObject(ctx.Tree))
 	params := NewMap()
 	for k, v := range ctx.Params {
 		params.Items[k] = v

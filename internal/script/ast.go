@@ -163,8 +163,13 @@ func (n *returnStmt) position() Pos   { return n.pos }
 func (n *breakStmt) position() Pos    { return n.pos }
 func (n *continueStmt) position() Pos { return n.pos }
 
-// Program is a compiled script, ready to run on an Interp.
+// Program is a compiled script, ready to run on any number of Interps.
+// Its code holds no state of its own, so interpreters may share it.
 type Program struct {
 	stmts  []Node
 	source string
+	// top is the compiled code of each top-level statement.
+	top []stmtFn
+	// globals names the global cells the code refers to, by index.
+	globals []string
 }

@@ -2,6 +2,7 @@ package script
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -12,14 +13,14 @@ import (
 // The set mirrors what the paper's PNUTS analyses used: math, string
 // formatting, array helpers, and printing (captured by the engine and
 // relayed to the client as notification messages).
-func installBuiltins(in *Interp) {
+func installBuiltins(define func(name string, v Value), w io.Writer) {
 	out := func(s string) {
-		if in.out != nil {
-			fmt.Fprint(in.out, s)
+		if w != nil {
+			fmt.Fprint(w, s)
 		}
 	}
 
-	def := func(name string, f HostFunc) { in.Define(name, f) }
+	def := func(name string, f HostFunc) { define(name, f) }
 
 	need := func(args []Value, n int, name string) error {
 		if len(args) != n {
@@ -105,7 +106,7 @@ func installBuiltins(in *Interp) {
 	def("pow", num2("pow", math.Pow))
 	def("min", num2("min", math.Min))
 	def("max", num2("max", math.Max))
-	in.Define("PI", math.Pi)
+	define("PI", math.Pi)
 
 	// Strings.
 	def("str", func(args []Value) (Value, error) {
@@ -146,7 +147,7 @@ func installBuiltins(in *Interp) {
 		}
 		rest := make([]any, len(args)-1)
 		for i, a := range args[1:] {
-			rest[i] = a
+			rest[i] = formatArg(a)
 		}
 		return fmt.Sprintf(f, rest...), nil
 	})
@@ -161,6 +162,9 @@ func installBuiltins(in *Interp) {
 		sep, err := Str(args[1])
 		if err != nil {
 			return nil, err
+		}
+		if n := strings.Count(s, sep) + 1; n > maxConcatElems {
+			return nil, fmt.Errorf("split: %d parts exceed the %d-element limit", n, maxConcatElems)
 		}
 		parts := strings.Split(s, sep)
 		arr := &Array{Elems: make([]Value, len(parts))}
@@ -272,11 +276,15 @@ func installBuiltins(in *Interp) {
 		default:
 			return nil, fmt.Errorf("range expects 1 or 2 arguments")
 		}
-		if hi-lo > 10_000_000 {
+		if hi-lo > maxConcatElems {
 			return nil, fmt.Errorf("range of %g elements is too large", hi-lo)
 		}
 		arr := &Array{}
 		for v := lo; v < hi; v++ {
+			if v+1 == v {
+				// Past 2^53, v++ no longer moves v.
+				return nil, fmt.Errorf("range from %g cannot count in steps of 1", lo)
+			}
 			arr.Elems = append(arr.Elems, v)
 		}
 		return arr, nil
@@ -311,4 +319,15 @@ func installBuiltins(in *Interp) {
 		}
 		return nil, fmt.Errorf("%s", msg)
 	})
+}
+
+// formatArg hands fmt a script value: numbers, strings, bools and nil as
+// themselves, anything else as the text print() shows, so format never
+// prints Go pointers or struct internals.
+func formatArg(v Value) any {
+	switch v.(type) {
+	case nil, float64, string, bool:
+		return v
+	}
+	return ToString(v)
 }

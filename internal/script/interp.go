@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 )
 
 // RuntimeError is a script execution failure with its source position.
@@ -19,35 +20,7 @@ func (e *RuntimeError) Error() string { return fmt.Sprintf("script:%s: %s", e.Po
 // guard that keeps a runaway uploaded script from wedging a worker node.
 var ErrFuelExhausted = errors.New("script: execution budget exhausted")
 
-// env is a lexical scope.
-type env struct {
-	vars   map[string]Value
-	parent *env
-}
-
-func newEnv(parent *env) *env { return &env{vars: make(map[string]Value), parent: parent} }
-
-func (e *env) lookup(name string) (Value, bool) {
-	for s := e; s != nil; s = s.parent {
-		if v, ok := s.vars[name]; ok {
-			return v, true
-		}
-	}
-	return nil, false
-}
-
-// assign updates name where it is bound, or defines it in scope e.
-func (e *env) assign(name string, v Value) {
-	for s := e; s != nil; s = s.parent {
-		if _, ok := s.vars[name]; ok {
-			s.vars[name] = v
-			return
-		}
-	}
-	e.vars[name] = v
-}
-
-// control-flow signals threaded through exec.
+// control-flow signals threaded through statement execution.
 type ctrl int
 
 const (
@@ -71,23 +44,31 @@ type Options struct {
 // parts while still halting accidental infinite loops in bounded time.
 const DefaultFuel = 200_000_000
 
-// Interp executes compiled programs.
+// Interp runs compiled programs. Globals live in cells shared by every
+// program the interpreter runs; function locals live in frame slots that
+// are reused call after call, so a call allocates nothing unless the
+// function has variables captured by a nested function.
 type Interp struct {
-	globals   *env
-	fuel      int64
-	maxDepth  int
-	depth     int
-	out       io.Writer
-	returnVal Value
+	globals  map[string]*slot
+	linked   map[*Program][]*slot
+	fuel     int64
+	maxDepth int
+	depth    int
+	// frames[d] is the frame reused by calls at depth d.
+	frames []*frame
+	// args is a stack of evaluated call arguments, so closure calls pass
+	// numbers without boxing them.
+	args []slot
 }
 
 // New creates an interpreter with the standard library installed.
 func New(opts Options) *Interp {
 	in := &Interp{
-		globals:  newEnv(nil),
+		globals:  make(map[string]*slot),
+		linked:   make(map[*Program][]*slot),
 		fuel:     opts.Fuel,
 		maxDepth: opts.MaxCallDepth,
-		out:      opts.Output,
+		args:     make([]slot, 0, 16),
 	}
 	if in.fuel <= 0 {
 		in.fuel = DefaultFuel
@@ -95,15 +76,34 @@ func New(opts Options) *Interp {
 	if in.maxDepth <= 0 {
 		in.maxDepth = 256
 	}
-	installBuiltins(in)
+	installBuiltins(in.Define, opts.Output)
 	return in
 }
 
+// cell returns the global cell for name, creating it unbound.
+func (in *Interp) cell(name string) *slot {
+	c, ok := in.globals[name]
+	if !ok {
+		c = &slot{v: unboundV}
+		in.globals[name] = c
+	}
+	return c
+}
+
 // Define binds a global name (host objects, configuration values).
-func (in *Interp) Define(name string, v Value) { in.globals.vars[name] = v }
+func (in *Interp) Define(name string, v Value) {
+	c := in.cell(name)
+	c.n, c.v = unbox(v)
+}
 
 // Lookup fetches a global.
-func (in *Interp) Lookup(name string) (Value, bool) { return in.globals.lookup(name) }
+func (in *Interp) Lookup(name string) (Value, bool) {
+	c, ok := in.globals[name]
+	if !ok || isUnbound(c.v) {
+		return nil, false
+	}
+	return box(c.n, c.v), true
+}
 
 // RemainingFuel returns the unspent execution budget.
 func (in *Interp) RemainingFuel() int64 { return in.fuel }
@@ -112,15 +112,29 @@ func (in *Interp) RemainingFuel() int64 { return in.fuel }
 // so long datasets don't starve, while any single event stays bounded).
 func (in *Interp) AddFuel(n int64) { in.fuel += n }
 
+// link resolves a program's global names to this interpreter's cells.
+func (in *Interp) link(p *Program) []*slot {
+	if g, ok := in.linked[p]; ok {
+		return g
+	}
+	g := make([]*slot, len(p.globals))
+	for i, name := range p.globals {
+		g[i] = in.cell(name)
+	}
+	in.linked[p] = g
+	return g
+}
+
 // Run executes a program's top-level statements in the global scope.
 func (in *Interp) Run(p *Program) error {
-	for _, s := range p.stmts {
-		c, err := in.exec(s, in.globals)
+	fr := &frame{in: in, glob: in.link(p)}
+	for i, s := range p.top {
+		c, err := s(fr)
 		if err != nil {
 			return err
 		}
 		if c != ctrlNone {
-			return &RuntimeError{Pos: s.position(), Msg: "break/continue/return outside function or loop"}
+			return &RuntimeError{Pos: p.stmts[i].position(), Msg: "break/continue/return outside function or loop"}
 		}
 	}
 	return nil
@@ -128,7 +142,7 @@ func (in *Interp) Run(p *Program) error {
 
 // Call invokes a named global function with the given arguments.
 func (in *Interp) Call(name string, args ...Value) (Value, error) {
-	fn, ok := in.globals.lookup(name)
+	fn, ok := in.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("script: no function %q defined", name)
 	}
@@ -137,11 +151,11 @@ func (in *Interp) Call(name string, args ...Value) (Value, error) {
 
 // Has reports whether a global name is bound to a callable.
 func (in *Interp) Has(name string) bool {
-	v, ok := in.globals.lookup(name)
+	c, ok := in.globals[name]
 	if !ok {
 		return false
 	}
-	switch v.(type) {
+	switch c.v.(type) {
 	case *Closure, HostFunc:
 		return true
 	}
@@ -152,352 +166,118 @@ func (in *Interp) Has(name string) bool {
 func (in *Interp) CallValue(fn Value, args []Value) (Value, error) {
 	switch f := fn.(type) {
 	case *Closure:
-		return in.callClosure(f, args, Pos{})
+		base := len(in.args)
+		for _, a := range args {
+			n, v := unbox(a)
+			in.args = append(in.args, slot{n, v})
+		}
+		n, v, err := in.callClosure(f, in.args[base:], Pos{})
+		in.args = in.args[:base]
+		if err != nil {
+			return nil, err
+		}
+		return box(n, v), nil
 	case HostFunc:
-		return f(args)
+		// A copy keeps args from escaping, so a caller's argument list
+		// for a script function stays on its stack.
+		return f(append([]Value(nil), args...))
 	default:
 		return nil, fmt.Errorf("script: value of type %s is not callable", TypeName(fn))
 	}
 }
 
-func (in *Interp) callClosure(f *Closure, args []Value, at Pos) (Value, error) {
+// callClosure runs a script function at the current depth. Missing
+// arguments bind to nil and extra ones are ignored.
+func (in *Interp) callClosure(c *Closure, args []slot, at Pos) (float64, Value, error) {
 	if in.depth >= in.maxDepth {
-		return nil, &RuntimeError{Pos: at, Msg: fmt.Sprintf("call depth exceeds %d", in.maxDepth)}
+		return 0, nil, &RuntimeError{Pos: at, Msg: fmt.Sprintf("call depth exceeds %d", in.maxDepth)}
 	}
-	scope := newEnv(f.env)
-	for i, p := range f.params {
+	fn := c.fn
+	if in.depth == len(in.frames) {
+		in.frames = append(in.frames, &frame{in: in})
+	}
+	fr := in.frames[in.depth]
+	fr.env, fr.glob, fr.own = c.env, c.glob, nil
+	if cap(fr.slots) < fn.nslots {
+		fr.slots = make([]slot, fn.nslots)
+	}
+	fr.slots = fr.slots[:fn.nslots]
+	for i := range fr.slots {
+		fr.slots[i] = slot{v: unboundV}
+	}
+	if fn.ncells > 0 {
+		fr.own = &scope{cells: make([]slot, fn.ncells), up: c.env}
+		for i := range fr.own.cells {
+			fr.own.cells[i].v = unboundV
+		}
+	}
+	for i, p := range fn.params {
+		var s slot
 		if i < len(args) {
-			scope.vars[p] = args[i]
+			s = args[i]
+		}
+		if p.cell {
+			fr.own.cells[p.idx] = s
 		} else {
-			scope.vars[p] = nil
+			fr.slots[p.idx] = s
 		}
 	}
 	in.depth++
 	defer func() { in.depth-- }()
-	in.returnVal = nil
-	c, err := in.exec(f.body, scope)
+	ctl, err := fn.body(fr)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	if c == ctrlReturn {
-		v := in.returnVal
-		in.returnVal = nil
-		return v, nil
+	if ctl == ctrlReturn {
+		n, v := fr.retN, fr.retV
+		fr.retV = nil
+		return n, v, nil
 	}
-	return nil, nil
+	return 0, nil, nil
 }
 
 func (in *Interp) burn(pos Pos) error {
 	in.fuel--
 	if in.fuel < 0 {
-		return &RuntimeError{Pos: pos, Msg: ErrFuelExhausted.Error()}
+		return fuelError(pos)
 	}
 	return nil
+}
+
+// fuelError is kept out of line so burn stays small enough to inline.
+//
+//go:noinline
+func fuelError(pos Pos) error {
+	return &RuntimeError{Pos: pos, Msg: ErrFuelExhausted.Error()}
 }
 
 func rtErr(pos Pos, format string, args ...any) error {
 	return &RuntimeError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-// exec runs a statement.
-func (in *Interp) exec(n Node, scope *env) (ctrl, error) {
-	if err := in.burn(n.position()); err != nil {
-		return ctrlNone, err
+// compoundOp maps a compound assignment to its binary operator.
+func compoundOp(op tokKind) tokKind {
+	switch op {
+	case tokPlusAssign:
+		return tokPlus
+	case tokMinusAssign:
+		return tokMinus
+	case tokStarAssign:
+		return tokStar
+	case tokSlashAssign:
+		return tokSlash
 	}
-	switch s := n.(type) {
-	case *exprStmt:
-		_, err := in.eval(s.x, scope)
-		return ctrlNone, err
-	case *blockStmt:
-		for _, st := range s.stmts {
-			c, err := in.exec(st, scope)
-			if err != nil || c != ctrlNone {
-				return c, err
-			}
-		}
-		return ctrlNone, nil
-	case *ifStmt:
-		cond, err := in.eval(s.cond, scope)
-		if err != nil {
-			return ctrlNone, err
-		}
-		if Truthy(cond) {
-			return in.exec(s.then, scope)
-		}
-		if s.alt != nil {
-			return in.exec(s.alt, scope)
-		}
-		return ctrlNone, nil
-	case *whileStmt:
-		for {
-			cond, err := in.eval(s.cond, scope)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if !Truthy(cond) {
-				return ctrlNone, nil
-			}
-			c, err := in.exec(s.body, scope)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if c == ctrlBreak {
-				return ctrlNone, nil
-			}
-			if c == ctrlReturn {
-				return c, nil
-			}
-			if err := in.burn(s.pos); err != nil {
-				return ctrlNone, err
-			}
-		}
-	case *forStmt:
-		if s.init != nil {
-			if _, err := in.eval(s.init, scope); err != nil {
-				return ctrlNone, err
-			}
-		}
-		for {
-			if s.cond != nil {
-				cond, err := in.eval(s.cond, scope)
-				if err != nil {
-					return ctrlNone, err
-				}
-				if !Truthy(cond) {
-					return ctrlNone, nil
-				}
-			}
-			c, err := in.exec(s.body, scope)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if c == ctrlBreak {
-				return ctrlNone, nil
-			}
-			if c == ctrlReturn {
-				return c, nil
-			}
-			if s.post != nil {
-				if _, err := in.eval(s.post, scope); err != nil {
-					return ctrlNone, err
-				}
-			}
-			if err := in.burn(s.pos); err != nil {
-				return ctrlNone, err
-			}
-		}
-	case *forEachStmt:
-		iter, err := in.eval(s.iterable, scope)
-		if err != nil {
-			return ctrlNone, err
-		}
-		runBody := func(v Value) (ctrl, error) {
-			scope.assign(s.ident, v)
-			return in.exec(s.body, scope)
-		}
-		switch it := iter.(type) {
-		case *Array:
-			for _, v := range it.Elems {
-				c, err := runBody(v)
-				if err != nil {
-					return ctrlNone, err
-				}
-				if c == ctrlBreak {
-					return ctrlNone, nil
-				}
-				if c == ctrlReturn {
-					return c, nil
-				}
-				if err := in.burn(s.pos); err != nil {
-					return ctrlNone, err
-				}
-			}
-			return ctrlNone, nil
-		case *Map:
-			for _, k := range sortedMapKeys(it) {
-				c, err := runBody(k)
-				if err != nil {
-					return ctrlNone, err
-				}
-				if c == ctrlBreak {
-					return ctrlNone, nil
-				}
-				if c == ctrlReturn {
-					return c, nil
-				}
-			}
-			return ctrlNone, nil
-		case float64:
-			for i := 0.0; i < it; i++ {
-				c, err := runBody(i)
-				if err != nil {
-					return ctrlNone, err
-				}
-				if c == ctrlBreak {
-					return ctrlNone, nil
-				}
-				if c == ctrlReturn {
-					return c, nil
-				}
-				if err := in.burn(s.pos); err != nil {
-					return ctrlNone, err
-				}
-			}
-			return ctrlNone, nil
-		default:
-			return ctrlNone, rtErr(s.pos, "cannot iterate over %s", TypeName(iter))
-		}
-	case *returnStmt:
-		if s.val != nil {
-			v, err := in.eval(s.val, scope)
-			if err != nil {
-				return ctrlNone, err
-			}
-			in.returnVal = v
-		} else {
-			in.returnVal = nil
-		}
-		return ctrlReturn, nil
-	case *breakStmt:
-		return ctrlBreak, nil
-	case *continueStmt:
-		return ctrlContinue, nil
-	default:
-		return ctrlNone, rtErr(n.position(), "internal: unknown statement %T", n)
-	}
+	return 0
 }
 
-// eval computes an expression value.
-func (in *Interp) eval(n Node, scope *env) (Value, error) {
-	if err := in.burn(n.position()); err != nil {
-		return nil, err
-	}
-	switch e := n.(type) {
-	case *numberLit:
-		return e.val, nil
-	case *stringLit:
-		return e.val, nil
-	case *boolLit:
-		return e.val, nil
-	case *nilLit:
-		return nil, nil
-	case *identExpr:
-		v, ok := scope.lookup(e.name)
-		if !ok {
-			return nil, rtErr(e.pos, "undefined variable %q", e.name)
-		}
-		return v, nil
-	case *arrayLit:
-		arr := &Array{Elems: make([]Value, 0, len(e.elems))}
-		for _, el := range e.elems {
-			v, err := in.eval(el, scope)
-			if err != nil {
-				return nil, err
-			}
-			arr.Elems = append(arr.Elems, v)
-		}
-		return arr, nil
-	case *mapLit:
-		m := NewMap()
-		for i := range e.keys {
-			k, err := in.eval(e.keys[i], scope)
-			if err != nil {
-				return nil, err
-			}
-			ks, ok := k.(string)
-			if !ok {
-				return nil, rtErr(e.keys[i].position(), "map key must be string, got %s", TypeName(k))
-			}
-			v, err := in.eval(e.vals[i], scope)
-			if err != nil {
-				return nil, err
-			}
-			m.Items[ks] = v
-		}
-		return m, nil
-	case *funcLit:
-		return &Closure{name: e.name, params: e.params, body: e.body, env: scope}, nil
-	case *unaryExpr:
-		x, err := in.eval(e.x, scope)
-		if err != nil {
-			return nil, err
-		}
-		switch e.op {
-		case tokMinus:
-			f, ok := x.(float64)
-			if !ok {
-				return nil, rtErr(e.pos, "cannot negate %s", TypeName(x))
-			}
-			return -f, nil
-		case tokNot:
-			return !Truthy(x), nil
-		}
-		return nil, rtErr(e.pos, "internal: bad unary op")
-	case *binaryExpr:
-		return in.evalBinary(e, scope)
-	case *ternaryExpr:
-		cond, err := in.eval(e.cond, scope)
-		if err != nil {
-			return nil, err
-		}
-		if Truthy(cond) {
-			return in.eval(e.then, scope)
-		}
-		return in.eval(e.alt, scope)
-	case *assignExpr:
-		return in.evalAssign(e, scope)
-	case *callExpr:
-		return in.evalCall(e, scope)
-	case *indexExpr:
-		target, err := in.eval(e.target, scope)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := in.eval(e.index, scope)
-		if err != nil {
-			return nil, err
-		}
-		return indexValue(e.pos, target, idx)
-	case *memberExpr:
-		target, err := in.eval(e.target, scope)
-		if err != nil {
-			return nil, err
-		}
-		return memberValue(e.pos, target, e.name)
-	default:
-		return nil, rtErr(n.position(), "internal: unknown expression %T", n)
-	}
-}
-
-func (in *Interp) evalBinary(e *binaryExpr, scope *env) (Value, error) {
-	// Short-circuit logical operators.
-	if e.op == tokAnd || e.op == tokOr {
-		l, err := in.eval(e.l, scope)
-		if err != nil {
-			return nil, err
-		}
-		if e.op == tokAnd && !Truthy(l) {
-			return false, nil
-		}
-		if e.op == tokOr && Truthy(l) {
-			return true, nil
-		}
-		r, err := in.eval(e.r, scope)
-		if err != nil {
-			return nil, err
-		}
-		return Truthy(r), nil
-	}
-	l, err := in.eval(e.l, scope)
-	if err != nil {
-		return nil, err
-	}
-	r, err := in.eval(e.r, scope)
-	if err != nil {
-		return nil, err
-	}
-	return applyBinary(e.pos, e.op, l, r)
-}
+// maxConcatBytes and maxConcatElems bound the result of string and array
+// concatenation. Fuel bounds steps, not memory: without them, a loop
+// doubling a string would exhaust the worker's memory in a few dozen
+// iterations.
+const (
+	maxConcatBytes = 1 << 24
+	maxConcatElems = 1 << 20
+)
 
 func applyBinary(pos Pos, op tokKind, l, r Value) (Value, error) {
 	switch op {
@@ -510,7 +290,7 @@ func applyBinary(pos Pos, op tokKind, l, r Value) (Value, error) {
 	if ls, ok := l.(string); ok {
 		switch op {
 		case tokPlus:
-			return ls + ToString(r), nil
+			return concatStrings(pos, ls, ToString(r))
 		case tokLt, tokLe, tokGt, tokGe:
 			rs, ok := r.(string)
 			if !ok {
@@ -529,13 +309,17 @@ func applyBinary(pos Pos, op tokKind, l, r Value) (Value, error) {
 		}
 	}
 	// number + string → concatenation (PNUTS-style convenience).
-	if _, ok := r.(string); ok && op == tokPlus {
-		return ToString(l) + r.(string), nil
+	if rs, ok := r.(string); ok && op == tokPlus {
+		return concatStrings(pos, ToString(l), rs)
 	}
 	// Array concatenation.
 	if la, ok := l.(*Array); ok && op == tokPlus {
 		if ra, ok := r.(*Array); ok {
-			out := &Array{Elems: make([]Value, 0, len(la.Elems)+len(ra.Elems))}
+			n := len(la.Elems) + len(ra.Elems)
+			if n > maxConcatElems {
+				return nil, rtErr(pos, "array of %d elements exceeds the %d-element limit", n, maxConcatElems)
+			}
+			out := &Array{Elems: make([]Value, 0, n)}
 			out.Elems = append(out.Elems, la.Elems...)
 			out.Elems = append(out.Elems, ra.Elems...)
 			return out, nil
@@ -546,142 +330,53 @@ func applyBinary(pos Pos, op tokKind, l, r Value) (Value, error) {
 	if !lok || !rok {
 		return nil, rtErr(pos, "operator %v not defined for %s and %s", op, TypeName(l), TypeName(r))
 	}
+	f, b, isBool, err := arith(pos, op, lf, rf)
+	if err != nil {
+		return nil, err
+	}
+	if isBool {
+		return b, nil
+	}
+	return f, nil
+}
+
+func concatStrings(pos Pos, a, b string) (Value, error) {
+	if n := len(a) + len(b); n > maxConcatBytes {
+		return nil, rtErr(pos, "string of %d bytes exceeds the %d-byte limit", n, maxConcatBytes)
+	}
+	return a + b, nil
+}
+
+// arith applies an arithmetic or ordering operator to two numbers; ordering
+// operators report their result in b with isBool set.
+func arith(pos Pos, op tokKind, lf, rf float64) (f float64, b, isBool bool, err error) {
 	switch op {
 	case tokPlus:
-		return lf + rf, nil
+		return lf + rf, false, false, nil
 	case tokMinus:
-		return lf - rf, nil
+		return lf - rf, false, false, nil
 	case tokStar:
-		return lf * rf, nil
+		return lf * rf, false, false, nil
 	case tokSlash:
 		if rf == 0 {
-			return nil, rtErr(pos, "division by zero")
+			return 0, false, false, rtErr(pos, "division by zero")
 		}
-		return lf / rf, nil
+		return lf / rf, false, false, nil
 	case tokPercent:
 		if rf == 0 {
-			return nil, rtErr(pos, "modulo by zero")
+			return 0, false, false, rtErr(pos, "modulo by zero")
 		}
-		return math.Mod(lf, rf), nil
+		return math.Mod(lf, rf), false, false, nil
 	case tokLt:
-		return lf < rf, nil
+		return 0, lf < rf, true, nil
 	case tokLe:
-		return lf <= rf, nil
+		return 0, lf <= rf, true, nil
 	case tokGt:
-		return lf > rf, nil
+		return 0, lf > rf, true, nil
 	case tokGe:
-		return lf >= rf, nil
+		return 0, lf >= rf, true, nil
 	}
-	return nil, rtErr(pos, "internal: bad binary op %v", op)
-}
-
-func (in *Interp) evalAssign(e *assignExpr, scope *env) (Value, error) {
-	val, err := in.eval(e.value, scope)
-	if err != nil {
-		return nil, err
-	}
-	// Compound ops read the old value first.
-	if e.op != tokAssign {
-		old, err := in.eval(e.target, scope)
-		if err != nil {
-			return nil, err
-		}
-		var binOp tokKind
-		switch e.op {
-		case tokPlusAssign:
-			binOp = tokPlus
-		case tokMinusAssign:
-			binOp = tokMinus
-		case tokStarAssign:
-			binOp = tokStar
-		case tokSlashAssign:
-			binOp = tokSlash
-		}
-		val, err = applyBinary(e.pos, binOp, old, val)
-		if err != nil {
-			return nil, err
-		}
-	}
-	switch t := e.target.(type) {
-	case *identExpr:
-		scope.assign(t.name, val)
-		return val, nil
-	case *indexExpr:
-		target, err := in.eval(t.target, scope)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := in.eval(t.index, scope)
-		if err != nil {
-			return nil, err
-		}
-		switch tv := target.(type) {
-		case *Array:
-			i, err := arrayIndex(t.pos, tv, idx)
-			if err != nil {
-				return nil, err
-			}
-			tv.Elems[i] = val
-			return val, nil
-		case *Map:
-			k, ok := idx.(string)
-			if !ok {
-				return nil, rtErr(t.pos, "map key must be string, got %s", TypeName(idx))
-			}
-			tv.Items[k] = val
-			return val, nil
-		default:
-			return nil, rtErr(t.pos, "cannot index-assign into %s", TypeName(target))
-		}
-	case *memberExpr:
-		target, err := in.eval(t.target, scope)
-		if err != nil {
-			return nil, err
-		}
-		switch tv := target.(type) {
-		case *Map:
-			tv.Items[t.name] = val
-			return val, nil
-		case SettableHostObject:
-			if err := tv.SetMember(t.name, val); err != nil {
-				return nil, rtErr(t.pos, "%v", err)
-			}
-			return val, nil
-		default:
-			return nil, rtErr(t.pos, "cannot set member %q on %s", t.name, TypeName(target))
-		}
-	}
-	return nil, rtErr(e.pos, "internal: bad assignment target")
-}
-
-func (in *Interp) evalCall(e *callExpr, scope *env) (Value, error) {
-	callee, err := in.eval(e.callee, scope)
-	if err != nil {
-		return nil, err
-	}
-	args := make([]Value, len(e.args))
-	for i, a := range e.args {
-		v, err := in.eval(a, scope)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-	}
-	switch f := callee.(type) {
-	case *Closure:
-		return in.callClosure(f, args, e.pos)
-	case HostFunc:
-		v, err := f(args)
-		if err != nil {
-			if _, isRT := err.(*RuntimeError); isRT {
-				return nil, err
-			}
-			return nil, rtErr(e.pos, "%v", err)
-		}
-		return v, nil
-	default:
-		return nil, rtErr(e.pos, "cannot call %s", TypeName(callee))
-	}
+	return 0, false, false, rtErr(pos, "internal: bad binary op %v", op)
 }
 
 func arrayIndex(pos Pos, a *Array, idx Value) (int, error) {
@@ -689,6 +384,10 @@ func arrayIndex(pos Pos, a *Array, idx Value) (int, error) {
 	if !ok {
 		return 0, rtErr(pos, "array index must be number, got %s", TypeName(idx))
 	}
+	return arrayIndexNum(pos, a, f)
+}
+
+func arrayIndexNum(pos Pos, a *Array, f float64) (int, error) {
 	i := int(f)
 	if float64(i) != f {
 		return 0, rtErr(pos, "array index %v is not an integer", f)
@@ -759,11 +458,7 @@ func sortedMapKeys(m *Map) []Value {
 		keys = append(keys, k)
 	}
 	// Deterministic iteration for reproducible analyses.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	sort.Strings(keys)
 	out := make([]Value, len(keys))
 	for i, k := range keys {
 		out[i] = k

@@ -4,11 +4,26 @@ import "fmt"
 
 // parser is a recursive-descent parser over the token slice.
 type parser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	depth int
 }
 
-// Compile parses source into a Program.
+// maxNesting bounds the parser's recursion (statements, assignments and
+// unary operators nested in one another), so a hostile source cannot
+// overflow the stack of the process compiling it.
+const maxNesting = 1000
+
+// nest enters one level of recursion; the caller defers p.depth--.
+func (p *parser) nest() error {
+	p.depth++
+	if p.depth > maxNesting {
+		return p.errf(p.cur().pos, "nesting deeper than %d levels", maxNesting)
+	}
+	return nil
+}
+
+// Compile parses source and compiles it into a Program.
 func Compile(src string) (*Program, error) {
 	toks, err := lexAll(src)
 	if err != nil {
@@ -23,7 +38,8 @@ func Compile(src string) (*Program, error) {
 		}
 		stmts = append(stmts, s)
 	}
-	return &Program{stmts: stmts, source: src}, nil
+	top, globals := compileProgram(stmts)
+	return &Program{stmts: stmts, source: src, top: top, globals: globals}, nil
 }
 
 func (p *parser) cur() token        { return p.toks[p.pos] }
@@ -58,6 +74,10 @@ func (p *parser) errf(pos Pos, format string, args ...any) error {
 
 // statement parses one statement; trailing semicolons are optional.
 func (p *parser) statement() (Node, error) {
+	defer func() { p.depth-- }()
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	t := p.cur()
 	switch t.kind {
 	case tokLBrace:
@@ -284,6 +304,10 @@ func isAssignOp(k tokKind) bool {
 }
 
 func (p *parser) assignment() (Node, error) {
+	defer func() { p.depth-- }()
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	left, err := p.ternary()
 	if err != nil {
 		return nil, err
@@ -377,6 +401,10 @@ func (p *parser) multiplicative() (Node, error) {
 }
 
 func (p *parser) unary() (Node, error) {
+	defer func() { p.depth-- }()
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	t := p.cur()
 	if t.kind == tokMinus || t.kind == tokNot {
 		p.advance()

@@ -3,6 +3,7 @@ package script
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,17 +38,6 @@ type Map struct {
 // NewMap builds an empty map value.
 func NewMap() *Map { return &Map{Items: make(map[string]Value)} }
 
-// Closure is a script-defined function bound to its defining environment.
-type Closure struct {
-	name   string
-	params []string
-	body   *blockStmt
-	env    *env
-}
-
-// Name returns the function's declared name ("" for anonymous).
-func (c *Closure) Name() string { return c.name }
-
 // HostFunc is a native function callable from scripts.
 type HostFunc func(args []Value) (Value, error)
 
@@ -59,6 +49,14 @@ type HostObject interface {
 	Member(name string) (v Value, ok bool)
 	// TypeName labels the object in error messages, e.g. "histogram".
 	TypeName() string
+}
+
+// NumberObject is an optional HostObject extension for numeric members:
+// NumberMember returns what Member returns for the name when that is a
+// number, and ok=false otherwise. Scripts then read such members without
+// boxing them.
+type NumberObject interface {
+	NumberMember(name string) (v float64, ok bool)
 }
 
 // SettableHostObject additionally allows member assignment.
@@ -110,8 +108,84 @@ func TypeName(v Value) string {
 	}
 }
 
-// ToString renders a value for print() and string concatenation.
+// ToString renders a value for print() and string concatenation. An array
+// or map that contains itself, or nesting deeper than maxRenderDepth,
+// renders as "[...]" or "{...}" instead of recursing without end, and the
+// rendering of containers stops with "..." past maxConcatBytes bytes.
 func ToString(v Value) string {
+	switch v.(type) {
+	case *Array, *Map:
+		var b strings.Builder
+		writeValue(&b, v, nil)
+		return b.String()
+	}
+	return scalarString(v)
+}
+
+// maxRenderDepth bounds how deeply nested containers ToString renders.
+const maxRenderDepth = 64
+
+// writeValue renders v; open holds the containers being rendered around it.
+func writeValue(b *strings.Builder, v Value, open []Value) {
+	switch x := v.(type) {
+	case *Array:
+		if len(open) >= maxRenderDepth || containsRef(open, v) {
+			b.WriteString("[...]")
+			return
+		}
+		open = append(open, v)
+		b.WriteByte('[')
+		for i, e := range x.Elems {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			if b.Len() > maxConcatBytes {
+				b.WriteString("...")
+				break
+			}
+			writeValue(b, e, open)
+		}
+		b.WriteByte(']')
+	case *Map:
+		if len(open) >= maxRenderDepth || containsRef(open, v) {
+			b.WriteString("{...}")
+			return
+		}
+		open = append(open, v)
+		keys := make([]string, 0, len(x.Items))
+		for k := range x.Items {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		b.WriteByte('{')
+		for i, k := range keys {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			if b.Len() > maxConcatBytes {
+				b.WriteString("...")
+				break
+			}
+			b.WriteString(k)
+			b.WriteString(": ")
+			writeValue(b, x.Items[k], open)
+		}
+		b.WriteByte('}')
+	default:
+		b.WriteString(scalarString(v))
+	}
+}
+
+func containsRef(open []Value, v Value) bool {
+	for _, o := range open {
+		if o == v {
+			return true
+		}
+	}
+	return false
+}
+
+func scalarString(v Value) string {
 	switch x := v.(type) {
 	case nil:
 		return "nil"
@@ -124,33 +198,6 @@ func ToString(v Value) string {
 		return strconv.FormatFloat(x, 'g', -1, 64)
 	case string:
 		return x
-	case *Array:
-		var b strings.Builder
-		b.WriteByte('[')
-		for i, e := range x.Elems {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(ToString(e))
-		}
-		b.WriteByte(']')
-		return b.String()
-	case *Map:
-		keys := make([]string, 0, len(x.Items))
-		for k := range x.Items {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var b strings.Builder
-		b.WriteByte('{')
-		for i, k := range keys {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "%s: %s", k, ToString(x.Items[k]))
-		}
-		b.WriteByte('}')
-		return b.String()
 	case *Closure:
 		if x.name != "" {
 			return "function " + x.name
@@ -166,7 +213,8 @@ func ToString(v Value) string {
 }
 
 // valuesEqual implements ==. Numbers, strings, bools and nil compare by
-// value; arrays/maps/functions/host objects compare by identity.
+// value; arrays/maps/functions/host objects compare by identity, and
+// native functions are never equal.
 func valuesEqual(a, b Value) bool {
 	switch x := a.(type) {
 	case nil:
@@ -189,8 +237,14 @@ func valuesEqual(a, b Value) bool {
 	case *Closure:
 		y, ok := b.(*Closure)
 		return ok && x == y
+	case HostFunc:
+		// Go functions have no identity to compare.
+		return false
 	default:
-		return a == b
+		// Host objects compare by identity; a type Go cannot compare is
+		// never equal rather than a panic.
+		t := reflect.TypeOf(a)
+		return t == reflect.TypeOf(b) && t.Comparable() && a == b
 	}
 }
 

@@ -652,6 +652,15 @@ func (s *Service) teardown(sess *Session) {
 	s.cfg.Registry.RemoveSession(sess.ID)
 	s.cfg.Merge.Drop(sess.ID)
 	s.cfg.SharedDisk.DeleteTree(path.Join("/sessions", sess.ID))
+	// The staged parts on every worker's scratch element go too; they
+	// would otherwise outlive the session (a full copy of the dataset).
+	if s.cfg.WorkerScratch != nil {
+		for _, node := range sess.nodes {
+			if scratch, err := s.cfg.WorkerScratch(node); err == nil {
+				scratch.DeleteTree(path.Join("/scratch", sess.ID))
+			}
+		}
+	}
 	s.mu.Lock()
 	delete(s.sessions, sess.ID)
 	delete(s.byToken, sess.Token)
